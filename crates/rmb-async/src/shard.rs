@@ -1,11 +1,11 @@
 //! A persistent worker pool for conservative time-window execution.
 //!
-//! The parallel hierarchy engine in `rmb-hier` advances every ring by one
-//! synchronisation window, merges bridge traffic, and repeats — millions
-//! of windows per run. Spawning threads per window (or even routing every
-//! window through channel sends) would cost more than the ring work it
-//! parallelises, so [`ShardPool`] keeps its workers alive across windows
-//! and synchronises each one with two atomics:
+//! The parallel hierarchy engine in `rmb-hier` advances every ring with
+//! due work by one synchronisation window, merges bridge traffic, and
+//! repeats — millions of windows per run. Spawning threads per window (or
+//! even routing every window through channel sends) would cost more than
+//! the ring work it parallelises, so [`ShardPool`] keeps its workers alive
+//! across windows and synchronises each one with two atomics:
 //!
 //! * a **generation counter** the coordinator bumps to publish a window
 //!   (workers spin briefly, then park on a condvar), and

@@ -1075,15 +1075,41 @@ impl RmbNetwork {
     /// Advances the simulation until its clock reaches `until` (a no-op if
     /// the clock is already there or past).
     ///
-    /// This is the hook the conservative parallel hierarchy engine drives:
-    /// each ring is handed one lookahead-bounded window at a time and
-    /// advances itself to the window boundary independently of every other
-    /// ring. The loop is deliberately identical to [`run`](Self::run) — a
-    /// windowed run of any partitioning reaches the exact same state as
-    /// one serial `run`.
+    /// This is the hook the hierarchy coordinator drives: each ring is
+    /// handed one window at a time and advances itself to the window
+    /// boundary independently of every other ring. Idle stretches inside
+    /// the window are skipped exactly as
+    /// [`run_to_quiescence`](Self::run_to_quiescence) skips them, under
+    /// the same guard; otherwise the loop ticks like [`run`](Self::run).
+    /// A windowed run of any partitioning reaches the same state as one
+    /// tick-by-tick `run`, up to the floating-point rounding of the
+    /// utilisation mean over a multi-tick skip.
     pub fn run_window(&mut self, until: u64) {
+        let can_fast_forward = self.can_fast_forward();
         while self.now.get() < until {
+            if can_fast_forward && !self.has_due_work() {
+                let target = self.next_due_tick().map_or(until, |due| due.min(until));
+                if target > self.now.get() {
+                    self.skip_idle_to(target);
+                    continue;
+                }
+            }
             self.tick();
+        }
+    }
+
+    /// The tick at which this ring next has work: the current tick when
+    /// [`has_due_work`](Self::has_due_work), else the next due injection
+    /// or fault event, and `None` when nothing is scheduled. Every tick
+    /// before it leaves the ring unchanged apart from its clock and its
+    /// all-idle utilisation samples, so a caller may defer advancing the
+    /// ring until then (or until it submits work) and catch it up with
+    /// [`run_window`](Self::run_window).
+    pub fn next_wake(&self) -> Option<u64> {
+        if self.has_due_work() {
+            Some(self.now.get())
+        } else {
+            self.next_due_tick()
         }
     }
 
@@ -1110,28 +1136,19 @@ impl RmbNetwork {
                 .max()
                 .unwrap_or(0)
             + 64;
-        let can_fast_forward = self.opts.fast_forward
-            && matches!(self.opts.compaction_mode, CompactionMode::Synchronous);
+        let can_fast_forward = self.can_fast_forward();
         let mut stalled = false;
         while self.now.get() < max_ticks {
             if self.is_quiescent() {
                 break;
             }
             if can_fast_forward && !self.has_due_work() {
-                // Event horizon: nothing is live (so every phase of the
-                // tick is a no-op) and no injection is due. Jump straight
-                // to the next due tick, accounting for the skipped
-                // all-idle utilisation samples in one step. The ticking
-                // loop below would reach the same state, one no-op tick
-                // at a time.
                 let due = self.next_due_tick().expect("pending work exists");
                 let target = due.min(max_ticks);
                 let from = self.now.get();
                 if target > from {
                     let skipped = target - from;
-                    debug_assert_eq!(self.busy_segments, 0);
-                    self.utilization.record_repeated(0.0, skipped);
-                    self.now = Tick::new(target);
+                    self.skip_idle_to(target);
                     // The naive loop updates `last_progress` after every
                     // idle tick except the one on which work comes due.
                     if skipped >= 2 {
@@ -1156,6 +1173,25 @@ impl RmbNetwork {
             }
         }
         self.report_with(stalled)
+    }
+
+    /// Whether idle stretches may be skipped: the option is on and the
+    /// compactor is synchronous, so an idle tick changes nothing but the
+    /// clock and the utilisation samples.
+    fn can_fast_forward(&self) -> bool {
+        self.opts.fast_forward && matches!(self.opts.compaction_mode, CompactionMode::Synchronous)
+    }
+
+    /// Event horizon: nothing is live (so every phase of a tick is a
+    /// no-op) and nothing comes due before `target`. Jumps the clock
+    /// there, accounting for the skipped all-idle utilisation samples in
+    /// one step; ticking would reach the same state one no-op tick at a
+    /// time.
+    fn skip_idle_to(&mut self, target: u64) {
+        let skipped = target - self.now.get();
+        debug_assert_eq!(self.busy_segments, 0);
+        self.utilization.record_repeated(0.0, skipped);
+        self.now = Tick::new(target);
     }
 
     /// Builds a report of everything observed so far.

@@ -6,7 +6,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rmb_core::{CompactionMode, RmbNetwork, RmbNetworkBuilder};
+use rmb_core::{CompactionMode, RmbNetwork, RmbNetworkBuilder, RunReport};
 use rmb_types::{MessageSpec, NodeId, RmbConfig};
 
 /// A generated workload item: (source, destination offset, flits, delay).
@@ -194,11 +194,15 @@ proptest! {
     /// a trickle workload with multi-thousand-tick gaps produces the same
     /// report (ticks, deliveries, refusals, compaction moves) and the
     /// same per-message delivery log as the naive one-tick-at-a-time run.
+    /// `run_window` skips idle stretches the same way: advancing in
+    /// random windows, many ending partway through a gap, with messages
+    /// submitted between windows, matches ticking at every boundary.
     #[test]
     fn fast_forward_matches_naive_run(
         n in 4u32..20,
         k in 1u16..5,
         raw in vec(any::<RawMsg>(), 1..12),
+        windows in vec(1u64..5_000, 1..7),
     ) {
         // Spread injections so most ticks have no due work (the case the
         // fast-forward exists for), with occasional bursts.
@@ -211,17 +215,51 @@ proptest! {
                     .at((at % 8) * 5_000)
             })
             .collect();
-        let run = |fast: bool| {
-            let mut net = checked_builder(n, k).fast_forward(fast).build();
-            net.submit_all(msgs.iter().copied()).unwrap();
-            let r = net.run_to_quiescence(1_000_000);
+        let outcome = |net: &RmbNetwork, r: RunReport| {
             let log: Vec<_> = net
                 .delivered_log()
                 .iter()
                 .map(|d| (d.request.get(), d.circuit_at, d.delivered_at, d.refusals))
                 .collect();
-            (r.ticks, r.delivered, r.refusals, r.compaction_moves, r.stalled, log)
+            let now = net.now().get();
+            (now, r.ticks, r.delivered, r.refusals, r.compaction_moves, r.stalled, log)
+        };
+        let run = |fast: bool| {
+            let mut net = checked_builder(n, k).fast_forward(fast).build();
+            net.submit_all(msgs.iter().copied()).unwrap();
+            let r = net.run_to_quiescence(1_000_000);
+            outcome(&net, r)
         };
         prop_assert_eq!(run(true), run(false));
+
+        // Windowed: half the messages up front, the rest submitted one
+        // per window boundary (due shortly after it), then a drain. The
+        // reference ticks through every window one tick at a time.
+        let windowed = |fast: bool| {
+            let mut net = checked_builder(n, k).fast_forward(fast).build();
+            let (first, later) = msgs.split_at(msgs.len() / 2);
+            net.submit_all(first.iter().copied()).unwrap();
+            let mut later = later.iter();
+            let mut seen = Vec::new();
+            for &len in &windows {
+                let until = net.now().get() + len;
+                if fast {
+                    net.run_window(until);
+                } else {
+                    while net.now().get() < until {
+                        net.tick();
+                    }
+                }
+                seen.push(outcome(&net, net.report()));
+                if let Some(m) = later.next() {
+                    net.submit(m.at(until + m.inject_at / 4)).unwrap();
+                }
+            }
+            net.submit_all(later.copied()).unwrap();
+            let r = net.run_to_quiescence(1_000_000);
+            seen.push(outcome(&net, r));
+            seen
+        };
+        prop_assert_eq!(windowed(true), windowed(false));
     }
 }

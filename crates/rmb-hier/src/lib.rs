@@ -21,6 +21,13 @@
 //! backs off — the up/down split makes the slot dependency acyclic, so
 //! bridge queues cannot deadlock against each other.
 //!
+//! # Event-driven coordination
+//!
+//! Each tick the coordinator advances only the rings that have due work;
+//! an idle ring is caught up when a leg is next submitted into it or the
+//! hierarchy hands control back, and stretches in which nothing is due
+//! are skipped. Results are identical to ticking every ring every tick.
+//!
 //! # Parallel execution
 //!
 //! The hierarchy can advance its rings across cores: build with
