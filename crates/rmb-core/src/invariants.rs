@@ -24,6 +24,10 @@
 //! 6. **Bitmap lockstep** — the packed occupancy bitmaps the hot path
 //!    queries (per-bus occupied / faulted bits, the full-hop mask) agree
 //!    bit-for-bit with the authoritative segment owner and fault tables.
+//! 7. **Plane lockstep** — the per-slot height planes word-parallel
+//!    compaction reads agree bit-for-bit with every live bus's `heights`,
+//!    and each slot's recorded level range is exactly the lowest and
+//!    highest height its bus occupies.
 //!
 //! A fifth property — *downward-only motion* (§2.2: "The motion of
 //! virtual-buses for the purpose of compaction is only downwards") — needs
@@ -197,6 +201,12 @@ pub fn check_network(net: &RmbNetwork) -> Result<(), InvariantViolation> {
     // shadows.
     if let Err(detail) = net.verify_occupancy() {
         return fail("bitmap-lockstep", detail);
+    }
+
+    // 7. Plane lockstep: the height planes compaction decides from must
+    // agree bit-for-bit with the heights they transpose.
+    if let Err(detail) = net.verify_planes() {
+        return fail("plane-lockstep", detail);
     }
 
     Ok(())

@@ -54,6 +54,7 @@ pub mod microsim;
 mod network;
 mod occupancy;
 mod options;
+mod planes;
 mod render;
 mod status;
 mod virtual_bus;

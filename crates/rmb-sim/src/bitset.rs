@@ -48,6 +48,60 @@ pub fn arc_any(words: &[u64], len: usize, start: usize, count: usize) -> bool {
     }
 }
 
+/// The 64 ring positions starting at `start`, as one word: bit `i` of the
+/// result is bit `(start + i) mod len` of a ring of `len` positions packed
+/// 64 per word into `words`. A ring shorter than 64 positions repeats with
+/// period `len`, so every bit of the result is defined.
+///
+/// The word-at-a-time twin of [`arc_any`], for kernels that combine
+/// several lanes of the same ring 64 positions per step: reading each
+/// lane through `arc_word` at the same `start` lines them up bit for bit,
+/// wherever the arc crosses the ring's wrap point.
+///
+/// # Panics
+///
+/// Panics if `start >= len`, or if `words` is shorter than
+/// `len.div_ceil(64)`.
+#[inline]
+#[must_use]
+pub fn arc_word(words: &[u64], len: usize, start: usize) -> u64 {
+    assert!(start < len, "start {start} out of range 0..{len}");
+    if len >= 64 {
+        // At most one wrap: the positions before the cut, then the
+        // ring's first `64 - tail` positions.
+        let tail = len - start;
+        let head = window(words, start);
+        if tail >= 64 {
+            head
+        } else {
+            (head & ((1u64 << tail) - 1)) | (words[0] << tail)
+        }
+    } else {
+        // Rotate the short ring to `start`, then repeat it up the word.
+        let lane = words[0] & ((1u64 << len) - 1);
+        let mut word = ((lane >> start) | (lane << (len - start))) & ((1u64 << len) - 1);
+        let mut period = len;
+        while period < 64 {
+            word |= word << period;
+            period *= 2;
+        }
+        word
+    }
+}
+
+/// The 64 bits starting at bit `pos` of `words`, with bits past the end
+/// of the slice read as zero.
+#[inline]
+fn window(words: &[u64], pos: usize) -> u64 {
+    let (w, b) = (pos / 64, pos % 64);
+    let low = words[w] >> b;
+    if b == 0 {
+        low
+    } else {
+        low | words.get(w + 1).map_or(0, |&next| next << (64 - b))
+    }
+}
+
 /// Any set bit in the linear span `[lo, hi)`, `hi > lo`, no wrap.
 #[inline]
 fn span_any(words: &[u64], lo: usize, hi: usize) -> bool {
@@ -317,6 +371,42 @@ mod tests {
         assert!(r.any_in_arc(50, 100));
         // Oversized counts clamp to one full revolution.
         assert_eq!(r.count_in_arc(50, 1000), 1);
+    }
+
+    /// `arc_word` against the position-by-position definition, at ring
+    /// lengths either side of one and two words, with `start` at 0, next
+    /// to the cut and mid-word, over lanes with every bit pattern class
+    /// (sparse, dense, alternating).
+    #[test]
+    fn arc_word_matches_the_wrapped_positions() {
+        for len in [5usize, 63, 64, 65, 130] {
+            let mut starts = vec![0, len - 1, len / 2, len.saturating_sub(2), len.min(37) - 1];
+            if len > 64 {
+                starts.extend([63, 64, len - 63, len - 64]);
+            }
+            for pattern in 0..4u64 {
+                let mut ring = BitRing::new(len);
+                for i in 0..len {
+                    let set = match pattern {
+                        0 => i % 7 == 3,
+                        1 => i % 3 != 0,
+                        2 => i % 2 == 1,
+                        _ => i == len - 1,
+                    };
+                    ring.assign(i, set);
+                }
+                for &start in &starts {
+                    let word = arc_word(&ring.words, len, start);
+                    for i in 0..64 {
+                        assert_eq!(
+                            word >> i & 1 == 1,
+                            ring.get((start + i) % len),
+                            "len {len}, start {start}, pattern {pattern}, bit {i}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

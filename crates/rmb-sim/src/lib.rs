@@ -52,7 +52,7 @@ pub mod stats;
 pub mod trace;
 mod wheel;
 
-pub use bitset::{arc_any, BitRing};
+pub use bitset::{arc_any, arc_word, BitRing};
 pub use clock::Tick;
 pub use par::{par_map, par_map_with};
 pub use queue::EventQueue;
