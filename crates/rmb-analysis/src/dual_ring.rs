@@ -8,11 +8,12 @@
 //! independently, each with `k` buses; total wiring is `2·N·k` segments.
 
 use rmb_baselines::{Network, RoutingOutcome};
-use rmb_core::RmbNetwork;
+use rmb_hier::{Leg, LegMap};
 use rmb_types::{MessageSpec, NodeId, RmbConfig};
 
 /// Two opposite unidirectional RMB rings behind the common [`Network`]
-/// interface.
+/// interface, run as a [`LegMap`] of one leg per message on the
+/// composition engine of `rmb-hier`.
 ///
 /// # Examples
 ///
@@ -61,6 +62,42 @@ impl DualRmbRing {
     }
 }
 
+impl LegMap for DualRmbRing {
+    fn carriers(&self) -> Vec<RmbConfig> {
+        vec![self.cfg; 2]
+    }
+
+    /// One leg on carrier 0 (the primary ring) or carrier 1 (the reverse
+    /// ring, in mirrored coordinates), whichever is shorter.
+    fn next_leg(&self, msg: &MessageSpec, at: NodeId) -> Leg {
+        let cw = self.cfg.nodes().clockwise_distance(at, msg.destination);
+        let ccw = self.cfg.nodes().get() - cw;
+        // Strictly shorter direction wins; ties (the diameter) are split
+        // by source parity so the two rings share the load.
+        let (carrier, from, to) = if cw < ccw || (cw == ccw && at.is_even()) {
+            (0, at, msg.destination)
+        } else {
+            // Node i maps to (N - i) mod N, so counter-clockwise hops
+            // become clockwise ones.
+            (1, self.mirror(at), self.mirror(msg.destination))
+        };
+        Leg {
+            carrier,
+            from,
+            to,
+            reaches: msg.destination,
+        }
+    }
+
+    /// The stall window a lone ring's `run_to_quiescence` uses.
+    fn stall_window(&self, _messages: &[MessageSpec]) -> u64 {
+        4 * u64::from(self.cfg.nodes().get())
+            + 8 * self.cfg.node.retry_backoff
+            + 3 * self.cfg.head_timeout.unwrap_or(0)
+            + 64
+    }
+}
+
 impl Network for DualRmbRing {
     fn label(&self) -> String {
         format!(
@@ -79,53 +116,7 @@ impl Network for DualRmbRing {
     }
 
     fn route_messages(&mut self, messages: &[MessageSpec], max_ticks: u64) -> RoutingOutcome {
-        let ring = self.cfg.nodes();
-        let mut forward = RmbNetwork::new(self.cfg);
-        let mut backward = RmbNetwork::new(self.cfg);
-        let mut backward_specs = Vec::new();
-        for m in messages {
-            let cw = ring.clockwise_distance(m.source, m.destination);
-            let ccw = ring.get() - cw;
-            // Strictly shorter direction wins; ties (the diameter) are
-            // split by source parity so the two rings share the load.
-            let go_forward = cw < ccw || (cw == ccw && m.source.is_even());
-            if go_forward {
-                forward.submit(*m).expect("valid message");
-            } else {
-                // Reverse-ring coordinates: node i maps to (N - i) mod N so
-                // that counter-clockwise hops become clockwise ones.
-                let spec = MessageSpec::new(
-                    self.mirror(m.source),
-                    self.mirror(m.destination),
-                    m.data_flits,
-                )
-                .at(m.inject_at);
-                backward_specs.push((*m, spec));
-                backward.submit(spec).expect("valid message");
-            }
-        }
-        let fr = forward.run_to_quiescence(max_ticks);
-        let br = backward.run_to_quiescence(max_ticks);
-        let mut delivered = forward.delivered_log().to_vec();
-        // Report backward deliveries in primary coordinates.
-        for &d in backward.delivered_log() {
-            let original = backward_specs
-                .iter()
-                .find(|(_, s)| s.source == d.spec.source && s.destination == d.spec.destination)
-                .map(|(orig, _)| *orig)
-                .unwrap_or(d.spec);
-            delivered.push(rmb_types::DeliveredMessage {
-                spec: original,
-                ..d
-            });
-        }
-        delivered.sort_by_key(|d| d.delivered_at);
-        RoutingOutcome {
-            delivered,
-            ticks: fr.ticks.max(br.ticks),
-            stalled: fr.stalled || br.stalled,
-            peak_busy_channels: fr.peak_virtual_buses + br.peak_virtual_buses,
-        }
+        crate::outcome(rmb_hier::route(self, messages, max_ticks))
     }
 }
 
@@ -145,6 +136,51 @@ mod tests {
         // Both spans are 3 hops, so both latencies are small and similar.
         let lats: Vec<u64> = out.delivered.iter().map(|d| d.latency()).collect();
         assert!(lats.iter().all(|&l| l < 30), "{lats:?}");
+    }
+
+    #[test]
+    fn each_delivery_names_its_own_input() {
+        // 1 -> 4 rides the primary ring; both 0 -> 13 messages ride the
+        // reverse ring. Every record must carry its input's index as the
+        // request id and that input's spec, even where two inputs share
+        // their endpoints.
+        let mut dual = DualRmbRing::new(RmbConfig::new(16, 2).unwrap());
+        let msgs = vec![
+            MessageSpec::new(NodeId::new(1), NodeId::new(4), 4),
+            MessageSpec::new(NodeId::new(0), NodeId::new(13), 4),
+            MessageSpec::new(NodeId::new(0), NodeId::new(13), 16).at(100),
+        ];
+        let out = dual.route_messages(&msgs, 10_000);
+        assert_eq!(out.delivered.len(), 3, "stalled={}", out.stalled);
+        let mut ids: Vec<u64> = out.delivered.iter().map(|d| d.request.get()).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [0, 1, 2]);
+        for d in &out.delivered {
+            assert_eq!(d.spec, msgs[d.request.get() as usize], "{d:?}");
+        }
+    }
+
+    #[test]
+    fn a_long_refusal_stretch_is_not_a_stall() {
+        // Far traffic saturates two k = 2 rings of 64 nodes: for longer
+        // than the stall window no message lands while headers time out
+        // and retry. The rings keep making progress, so the run completes,
+        // as each ring did when it ran to quiescence on its own.
+        let n = 64u32;
+        let msgs: Vec<MessageSpec> = (0..n)
+            .map(|s| {
+                MessageSpec::new(NodeId::new(s), NodeId::new((s + n / 2 + 1) % n), 8)
+                    .at(u64::from(s) * 24)
+            })
+            .collect();
+        let cfg = RmbConfig::builder(n, 2)
+            .head_timeout(16 * u64::from(n))
+            .retry_backoff(u64::from(n))
+            .build()
+            .unwrap();
+        let out = DualRmbRing::new(cfg).route_messages(&msgs, 16_000_000);
+        assert_eq!(out.delivered.len(), msgs.len(), "stalled={}", out.stalled);
+        assert_eq!(out.makespan(), 27_317);
     }
 
     #[test]

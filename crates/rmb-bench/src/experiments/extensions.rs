@@ -3,7 +3,7 @@
 //! the 2-D grid of rings (§4), and multiple concurrent sends per node
 //! (§4).
 
-use rmb_analysis::{RmbGrid, RmbLattice, RmbRing, Table};
+use rmb_analysis::{RmbLattice, RmbRing, Table};
 use rmb_baselines::{FatTree, Hypercube, Mesh2D, Network};
 use rmb_core::RmbNetwork;
 use rmb_types::{MessageSpec, NodeId, RmbConfig};
@@ -266,7 +266,7 @@ pub fn grid_experiment(side: u32, k: u16, flits: u32) -> Vec<GridRow> {
             0
         },
     });
-    let mut grid = RmbGrid::new(side, side, grid_cfg);
+    let mut grid = RmbLattice::new(vec![side, side], grid_cfg);
     let g = grid.route_messages(&msgs, 8_000_000);
     out.push(GridRow {
         network: grid.label(),
@@ -420,11 +420,11 @@ mod tests {
         // 64 = 8^2 = 4^3: ring, grid and 3-D lattice all present.
         let rows = grid_experiment(8, 2, 4);
         assert_eq!(rows.len(), 3);
-        let lat = rows.iter().find(|r| r.network.contains("lattice")).unwrap();
+        let lat = rows.iter().find(|r| r.network.contains("4x4x4")).unwrap();
         assert!(lat.makespan > 0, "lattice incomplete");
         // Diameter 3 * (4/2) = 6 vs the grid's 8: the lattice is at least
         // competitive on far traffic.
-        let grid = rows.iter().find(|r| r.network.contains("grid")).unwrap();
+        let grid = rows.iter().find(|r| r.network.contains("8x8")).unwrap();
         assert!(lat.makespan <= 2 * grid.makespan);
     }
 

@@ -3,7 +3,7 @@
 //! scalability discussion (§1: modules composed into larger systems;
 //! §4: 2-D grids as future work).
 
-use rmb_analysis::{DualRmbRing, RmbGrid, RmbRing, Table};
+use rmb_analysis::{DualRmbRing, RmbLattice, RmbRing, Table};
 use rmb_baselines::Network;
 use rmb_types::{MessageSpec, NodeId, RmbConfig};
 
@@ -51,7 +51,7 @@ pub fn scaling_experiment(sides: &[u32], k: u16, flits: u32) -> Vec<ScalingRow> 
         let mut net: Box<dyn Network> = match which {
             0 => Box::new(RmbRing::new(cfg(n, 2 * k))),
             1 => Box::new(DualRmbRing::new(cfg(n, k))),
-            _ => Box::new(RmbGrid::new(side, side, cfg(side, k))),
+            _ => Box::new(RmbLattice::new(vec![side, side], cfg(side, k))),
         };
         let out = net.route_messages(&msgs, max_ticks);
         ScalingRow {
@@ -99,12 +99,12 @@ mod tests {
         };
         for n in [16u32, 36] {
             assert!(get(n, "rmb(") > 0, "ring incomplete at N={n}");
-            assert!(get(n, "rmb-grid") > 0, "grid incomplete at N={n}");
+            assert!(get(n, "rmb-lattice") > 0, "grid incomplete at N={n}");
         }
         // The ring's makespan grows faster than the grid's between the
         // two sizes.
         let ring_growth = get(36, "rmb(") as f64 / get(16, "rmb(") as f64;
-        let grid_growth = get(36, "rmb-grid") as f64 / get(16, "rmb-grid") as f64;
+        let grid_growth = get(36, "rmb-lattice") as f64 / get(16, "rmb-lattice") as f64;
         assert!(
             grid_growth < ring_growth,
             "grid {grid_growth:.2}x vs ring {ring_growth:.2}x"

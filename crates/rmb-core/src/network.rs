@@ -829,6 +829,13 @@ impl RmbNetwork {
         Ok(())
     }
 
+    /// The last tick on which the ring made progress: a fault event, an
+    /// injection, a header step, refusal or time-out, a flit streamed, a
+    /// teardown step or a compaction move. Idle ticks are not progress.
+    pub fn last_progress(&self) -> u64 {
+        self.last_progress
+    }
+
     /// Requests not yet injected (buffered HFs plus backoff waiters).
     pub fn pending_requests(&self) -> usize {
         debug_assert_eq!(

@@ -21,12 +21,15 @@
 //! backs off — the up/down split makes the slot dependency acyclic, so
 //! bridge queues cannot deadlock against each other.
 //!
-//! # Event-driven coordination
+//! # One composition engine
 //!
-//! Each tick the coordinator advances only the rings that have due work;
-//! an idle ring is caught up when a leg is next submitted into it or the
-//! hierarchy hands control back, and stretches in which nothing is due
-//! are skipped. Results are identical to ticking every ring every tick.
+//! The hierarchy runs on the crate's ring-composition engine. Each tick it
+//! advances only the rings with due work, catches idle rings up when they
+//! are next touched, and skips stretches in which nothing is due; results
+//! are identical to ticking every ring every tick. [`route`] runs the same
+//! engine over any [`LegMap`], handing legs off at unbounded corners
+//! instead of bridge queues: `rmb-analysis` maps its lattice of rings and
+//! its dual ring this way.
 //!
 //! # Parallel execution
 //!
@@ -61,7 +64,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod compose;
+mod engine;
 pub mod model;
 mod network;
 
+pub use compose::{route, Leg, LegMap, Routed};
 pub use network::{HierAborted, HierDelivered, HierNetwork, HierNetworkBuilder, HierReport};

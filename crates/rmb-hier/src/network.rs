@@ -25,46 +25,21 @@
 //! `Failed`, releasing every slot it held, and the failure is reported as
 //! a [`ProtocolError::LegAborted`] naming the leg.
 //!
-//! # Event-driven carriers
+//! # Coordination
 //!
-//! The coordinator keeps one wake tick per carrier ring
-//! ([`RmbNetwork::next_wake`]) and on each tick advances and harvests only
-//! the carriers whose wake has come. An idle carrier's skipped ticks
-//! change nothing but its clock, so it is caught up with
-//! [`RmbNetwork::run_window`] when it is next touched: before a leg is
-//! submitted into it, and before the hierarchy reports or hands control
-//! back to a tick-driven caller. Messages waiting at their sources sit in
-//! a due-time queue, bridge queues are only walked while something is
-//! parked in one, and when nothing at all is due
-//! [`HierNetwork::run_to_quiescence`] jumps the clock to the next wake,
-//! source launch or bridge launch.
-//!
-//! # Execution modes
-//!
-//! All cross-ring coupling lives in the coordinator phases above — leg
-//! launching reads/writes bridge queues before any ring moves, and
-//! harvesting drains ring logs after every advanced ring has finished the
-//! tick. The rings themselves advance independently in between. That
-//! structure is what makes the conservative parallel engine exact rather
-//! than approximate: under [`ExecMode::Sharded`], the ring-advance phase
-//! of each synchronisation window runs on a [`ShardPool`] while both
-//! coordinator phases stay on the calling thread, so *every* observable —
-//! reports, delivery logs, trace events, per-ring RNG draws — is
-//! byte-identical to [`ExecMode::Serial`]. The window length equals the
-//! model's lookahead (see `DESIGN.md` §9b for the proof sketch); with
-//! [`model::BRIDGE_DWELL_TICKS`] = 1 that is one tick per window.
+//! The hierarchy is one router on the crate's composition engine
+//! (`engine.rs`), which schedules, advances and harvests the carriers;
+//! this module owns the bridge state machine above.
 
+use crate::engine::{Core, Engine, Router};
 use crate::model;
-use rmb_async::ShardPool;
 use rmb_core::{RmbNetwork, RunReport, SchedulerMode};
-use rmb_sim::trace::{TraceEvent, TraceKind, TraceSink, VecSink};
-use rmb_sim::Tick;
+use rmb_sim::trace::{TraceEvent, TraceKind};
 use rmb_types::{
     AbortedMessage, DeliveredMessage, ExecMode, FaultPlan, HierConfig, HierLeg, HierMessageSpec,
-    MessageSpec, NodeId, PerfStats, ProtocolError, RequestId,
+    NodeId, PerfStats, ProtocolError, RequestId,
 };
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Completion record for a hierarchical message.
@@ -281,42 +256,25 @@ impl Bridge {
 /// [`HierNetwork::builder`] for fault injection and instrumentation.
 #[derive(Debug)]
 pub struct HierNetwork {
+    /// The composition engine over the carrier rings: carrier `r < rings`
+    /// is local ring `r`; carrier `rings` is the global ring.
+    engine: Engine<Hier>,
+}
+
+/// The hierarchy's router: the bridge state machine.
+#[derive(Debug)]
+struct Hier {
     cfg: HierConfig,
-    /// The carrier rings: carrier `r < rings` is local ring `r`; carrier
-    /// `rings` is the global ring.
-    carriers: Vec<RmbNetwork>,
-    /// Per carrier, the first tick at or after `now` on which it has work
-    /// (`u64::MAX` when nothing is scheduled). A carrier is advanced only
-    /// once its wake has come, so its own clock may lag `now`.
-    wake: Vec<u64>,
     bridges: Vec<Bridge>,
     /// Messages parked in some bridge queue; the bridge phase is skipped
     /// while this is zero.
     parked: usize,
     msgs: Vec<HierMsg>,
-    /// Messages in `AtSource`, keyed `(not_before, id)`.
-    at_source: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Scratch for the ids due to launch from their sources this tick.
-    due: Vec<u64>,
-    /// `(carrier, ring-local request id) → hier message id` for every leg
-    /// in flight.
-    in_flight: HashMap<(u32, u64), u64>,
-    /// Per-carrier cursors into `delivered_log` / `aborted_log`.
-    dcur: Vec<usize>,
-    acur: Vec<usize>,
-    now: u64,
     delivered: Vec<HierDelivered>,
     aborted: Vec<HierAborted>,
-    live: usize,
     bridge_refusals: u64,
     latency_sum: u64,
     last_delivery_at: u64,
-    last_progress: u64,
-    checked: bool,
-    recorder: Option<VecSink>,
-    exec: ExecMode,
-    /// Worker pool for [`ExecMode::Sharded`]; `None` under `Serial`.
-    pool: Option<ShardPool>,
 }
 
 impl HierNetwork {
@@ -344,12 +302,12 @@ impl HierNetwork {
 
     /// The static configuration.
     pub const fn config(&self) -> &HierConfig {
-        &self.cfg
+        &self.engine.router.cfg
     }
 
     /// Current simulation time.
     pub const fn now(&self) -> u64 {
-        self.now
+        self.engine.core.now
     }
 
     /// Read access to local ring `r` (its report, logs and traces).
@@ -358,40 +316,40 @@ impl HierNetwork {
     ///
     /// Panics when `r` is out of range.
     pub fn local(&self, r: u32) -> &RmbNetwork {
-        &self.carriers[..self.cfg.rings() as usize][r as usize]
+        &self.engine.core.carriers[..self.config().rings() as usize][r as usize]
     }
 
     /// Read access to the global ring.
     pub fn global_ring(&self) -> &RmbNetwork {
-        &self.carriers[self.cfg.rings() as usize]
+        &self.engine.core.carriers[self.config().rings() as usize]
     }
 
     /// Messages delivered end to end so far, in completion order.
     pub fn delivered_log(&self) -> &[HierDelivered] {
-        &self.delivered
+        &self.engine.router.delivered
     }
 
     /// Messages that failed permanently so far, in abort order. Every
     /// entry's `error` is a [`ProtocolError::LegAborted`] naming the leg.
     pub fn aborted_log(&self) -> &[HierAborted] {
-        &self.aborted
+        &self.engine.router.aborted
     }
 
     /// Messages submitted but not yet delivered or aborted.
     pub fn pending_messages(&self) -> usize {
-        self.live
+        self.engine.core.live
     }
 
     /// `true` once every submitted message reached a terminal state.
     pub fn is_quiescent(&self) -> bool {
-        self.live == 0
+        self.engine.core.live == 0
     }
 
     /// Current occupancy of bridge `r`'s queues as `(up, down)`,
     /// including reservations and legs streaming out of its buffers.
     /// Never exceeds the configured depth per direction.
     pub fn bridge_load(&self, r: u32) -> (u32, u32) {
-        let b = &self.bridges[r as usize];
+        let b = &self.engine.router.bridges[r as usize];
         (b.up_occupancy(), b.down_occupancy())
     }
 
@@ -410,15 +368,7 @@ impl HierNetwork {
     /// order is what consumers can rely on, it is identical across
     /// [`ExecMode`]s, and the stable sort keeps per-ring causality intact.
     pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        match self.recorder.take() {
-            Some(sink) => {
-                self.recorder = Some(VecSink::new());
-                let mut events = sink.into_events();
-                events.sort_by_key(|e| (e.at, e.node));
-                events
-            }
-            None => Vec::new(),
-        }
+        self.engine.core.take_events()
     }
 
     /// Submits a message for delivery.
@@ -429,24 +379,25 @@ impl HierNetwork {
     /// hierarchy or names a bridge position, [`ProtocolError::SelfMessage`]
     /// when source and destination coincide.
     pub fn submit(&mut self, spec: HierMessageSpec) -> Result<RequestId, ProtocolError> {
+        let cfg = self.config();
         for addr in [spec.source, spec.destination] {
-            if !self.cfg.contains(addr) || self.cfg.is_bridge(addr) {
+            if !cfg.contains(addr) || cfg.is_bridge(addr) {
                 return Err(ProtocolError::unknown_address(addr));
             }
         }
         if spec.source == spec.destination {
             return Err(ProtocolError::self_message(spec.source.node));
         }
-        let id = self.msgs.len() as u64;
-        self.msgs.push(HierMsg {
+        let msgs = &mut self.engine.router.msgs;
+        let id = msgs.len() as u64;
+        msgs.push(HierMsg {
             spec,
             refusals: 0,
             stage: Stage::AtSource {
                 not_before: spec.inject_at,
             },
         });
-        self.at_source.push(Reverse((spec.inject_at, id)));
-        self.live += 1;
+        self.engine.core.admit(id, spec.inject_at);
         Ok(RequestId::new(id))
     }
 
@@ -473,89 +424,174 @@ impl HierNetwork {
     /// across the shard pool under [`ExecMode::Sharded`]. Rings exchange
     /// no state inside a window, so the result is identical either way.
     pub fn tick(&mut self) {
-        self.step();
-        self.sync_carriers();
-    }
-
-    /// One coordinator tick: launch due legs, then advance and harvest
-    /// the carriers whose wake has come. Idle carriers fall behind.
-    fn step(&mut self) {
-        self.launch_source_legs();
-        if self.parked > 0 {
-            self.launch_bridge_legs();
-        }
-        self.advance_rings(self.now + 1);
-        self.now += 1;
-        if self.checked {
-            self.check_bridge_invariants();
-        }
-    }
-
-    /// The parallel phase: every carrier whose wake has come advances
-    /// itself to the window boundary `until`, independently of every
-    /// other ring. Then, on the calling thread and in ascending carrier
-    /// order, their new deliveries and aborts are harvested and their
-    /// wakes refreshed.
-    fn advance_rings(&mut self, until: u64) {
-        let now = self.now;
-        let due = self
-            .carriers
-            .iter_mut()
-            .zip(&self.wake)
-            .filter(|&(_, &wake)| wake <= now)
-            .map(|(net, _)| net);
-        if let Some(pool) = &mut self.pool {
-            let mut shards: Vec<&mut RmbNetwork> = due.collect();
-            pool.run_shards(&mut shards, &|_, net| net.run_window(until));
-        } else {
-            due.for_each(|net| net.run_window(until));
-        }
-        for c in 0..self.carriers.len() {
-            if self.wake[c] <= now {
-                self.harvest(c as u32);
-                self.wake[c] = self.carriers[c].next_wake().unwrap_or(u64::MAX);
-            }
-        }
-    }
-
-    /// Catches every lagging carrier up to the hierarchy clock. Their
-    /// skipped ticks were idle, so only clocks and utilisation samples
-    /// move.
-    fn sync_carriers(&mut self) {
-        let now = self.now;
-        for net in &mut self.carriers {
-            net.run_window(now);
-        }
+        self.engine.tick();
     }
 
     /// The execution mode this hierarchy was built with.
     pub const fn exec_mode(&self) -> ExecMode {
-        self.exec
+        self.engine.core.exec
     }
 
     /// `true` when some ring has due work, or a message is due to launch
     /// a leg this tick.
     pub fn has_due_work(&self) -> bool {
-        let now = self.now;
-        self.wake.iter().any(|&wake| wake <= now)
-            || self
-                .at_source
-                .peek()
-                .is_some_and(|&Reverse((not_before, _))| not_before <= now)
-            || self.bridge_heads().any(|not_before| not_before <= now)
+        self.engine.has_due_work()
     }
 
-    /// The first tick at which something is due: a carrier wake, a source
-    /// launch or a bridge launch (`u64::MAX` when nothing is scheduled).
-    fn next_event(&self) -> u64 {
-        let source = self.at_source.peek().map_or(u64::MAX, |&Reverse((t, _))| t);
-        let bridge = self.bridge_heads().min().unwrap_or(u64::MAX);
-        self.wake.iter().fold(source.min(bridge), |t, &w| t.min(w))
+    /// Runs until every message is terminal, the tick budget is spent, or
+    /// no progress is observed for a conservative stall window.
+    ///
+    /// Stretches in which nothing is due are skipped: the clock jumps to
+    /// the next carrier wake, source launch or bridge launch. Every
+    /// carrier is caught up to the final clock before the report is built.
+    ///
+    /// The returned report carries a [`PerfStats`] timing this call
+    /// (wall-clock metadata only — excluded from report equality).
+    pub fn run_to_quiescence(&mut self, max_ticks: u64) -> HierReport {
+        let start = Instant::now();
+        let from = self.now();
+        let stalled = self.engine.run(max_ticks);
+        let mut report = self.report_with(stalled);
+        report.perf = Some(PerfStats::measure(
+            self.now() - from,
+            start.elapsed(),
+            self.exec_mode().threads(),
+        ));
+        report
+    }
+
+    /// Builds a report of everything observed so far.
+    pub fn report(&self) -> HierReport {
+        self.report_with(false)
+    }
+
+    fn report_with(&self, stalled: bool) -> HierReport {
+        let mut leg_refusals = 0;
+        let mut leg_retries = 0;
+        let mut fault_kills = 0;
+        for net in &self.engine.core.carriers {
+            let r: RunReport = net.report();
+            leg_refusals += r.refusals;
+            leg_retries += r.retries;
+            fault_kills += r.fault_kills;
+        }
+        let hier = &self.engine.router;
+        HierReport {
+            ticks: self.now(),
+            submitted: hier.msgs.len(),
+            delivered: hier.delivered.len(),
+            aborted: hier.aborted.len(),
+            undelivered: self.pending_messages(),
+            stalled,
+            bridge_refusals: hier.bridge_refusals,
+            leg_refusals,
+            leg_retries,
+            fault_kills,
+            makespan: hier.last_delivery_at,
+            latency_sum: hier.latency_sum,
+            perf: None,
+        }
+    }
+}
+
+impl Router for Hier {
+    /// Launches a due message out of its source PE: intra-ring traffic
+    /// goes straight into its local ring; inter-ring traffic needs an up
+    /// slot at its ring's bridge first. A full up queue refuses it: it
+    /// backs off and waits at its source again.
+    fn launch(&mut self, core: &mut Core, id: u64) {
+        let now = core.now;
+        let spec = self.msgs[id as usize].spec;
+        debug_assert!(matches!(
+            self.msgs[id as usize].stage,
+            Stage::AtSource { not_before } if not_before <= now
+        ));
+        if spec.is_intra_ring() {
+            let r = spec.source.ring;
+            let stage = Stage::InFlight {
+                leg: HierLeg::SourceLocal,
+                from: None,
+                to: None,
+            };
+            self.send(core, id, r, spec.source.node, spec.destination.node, stage);
+            return;
+        }
+        let b = spec.source.ring;
+        if self.bridges[b as usize].up_occupancy() >= self.cfg.bridge_queue_depth() {
+            self.refuse(core, id, b, "up");
+            let m = &mut self.msgs[id as usize];
+            let not_before = now + self.cfg.bridge_backoff() * m.refusals as u64;
+            m.stage = Stage::AtSource { not_before };
+            core.schedule(id, not_before);
+            return;
+        }
+        self.bridges[b as usize].up_reserved += 1;
+        let stage = Stage::InFlight {
+            leg: HierLeg::SourceLocal,
+            from: None,
+            to: Some(b),
+        };
+        self.send(core, id, b, spec.source.node, self.cfg.bridge(), stage);
+    }
+
+    /// Launches due messages out of bridge queues: the down direction
+    /// first (it never waits on another queue), then the up direction,
+    /// which must reserve a down slot at the destination bridge. One
+    /// launch per direction per bridge per tick — a bridge's egress is a
+    /// single INC port.
+    fn launch_held(&mut self, core: &mut Core) {
+        if self.parked == 0 {
+            return;
+        }
+        let now = core.now;
+        let depth = self.cfg.bridge_queue_depth();
+        for r in 0..self.cfg.rings() {
+            if let Some(&id) = self.bridges[r as usize].down.front() {
+                if self.due_at_bridge(id, now) {
+                    self.bridges[r as usize].down.pop_front();
+                    self.bridges[r as usize].down_in_transit += 1;
+                    self.parked -= 1;
+                    let dest = self.msgs[id as usize].spec.destination.node;
+                    let stage = Stage::InFlight {
+                        leg: HierLeg::DestLocal,
+                        from: Some(r),
+                        to: None,
+                    };
+                    self.send(core, id, r, self.cfg.bridge(), dest, stage);
+                    core.trace(id, TraceKind::BridgeEgress, r, "dest-local leg launched");
+                }
+            }
+            if let Some(&id) = self.bridges[r as usize].up.front() {
+                if self.due_at_bridge(id, now) {
+                    let dest = self.msgs[id as usize].spec.destination.ring;
+                    if self.bridges[dest as usize].down_occupancy() >= depth {
+                        self.refuse(core, id, dest, "down");
+                        let m = &mut self.msgs[id as usize];
+                        m.stage = Stage::AtBridge {
+                            not_before: now + self.cfg.bridge_backoff() * m.refusals as u64,
+                        };
+                    } else {
+                        self.bridges[r as usize].up.pop_front();
+                        self.bridges[r as usize].up_in_transit += 1;
+                        self.parked -= 1;
+                        self.bridges[dest as usize].down_reserved += 1;
+                        let g = self.cfg.rings();
+                        let stage = Stage::InFlight {
+                            leg: HierLeg::Global,
+                            from: Some(r),
+                            to: Some(dest),
+                        };
+                        self.send(core, id, g, NodeId::new(r), NodeId::new(dest), stage);
+                        core.trace(id, TraceKind::BridgeEgress, r, "global leg launched");
+                    }
+                }
+            }
+        }
     }
 
     /// `not_before` of the message at the head of every non-empty bridge
     /// queue.
-    fn bridge_heads(&self) -> impl Iterator<Item = u64> + '_ {
+    fn held(&self) -> impl Iterator<Item = u64> + '_ {
         let bridges = if self.parked > 0 {
             &self.bridges[..]
         } else {
@@ -571,303 +607,15 @@ impl HierNetwork {
             })
     }
 
-    /// Runs until every message is terminal, the tick budget is spent, or
-    /// no progress is observed for a conservative stall window.
-    ///
-    /// Stretches in which nothing is due are skipped: the clock jumps to
-    /// the next carrier wake, source launch or bridge launch. Every
-    /// carrier is caught up to the final clock before the report is built.
-    ///
-    /// The returned report carries a [`PerfStats`] timing this call
-    /// (wall-clock metadata only — excluded from report equality).
-    pub fn run_to_quiescence(&mut self, max_ticks: u64) -> HierReport {
-        let start = Instant::now();
-        let from = self.now;
-        let stall_window = self.stall_window();
-        let mut stalled = false;
-        let mut idle = !self.has_due_work();
-        while !self.is_quiescent() {
-            if self.now >= max_ticks {
-                stalled = true;
-                break;
-            }
-            if idle {
-                // Ticking up to the next event would change nothing but
-                // the clock. The tick-by-tick loop sets `last_progress`
-                // after each such tick, but not after the one on which
-                // work comes due.
-                let due = self.next_event();
-                let target = due.min(max_ticks);
-                debug_assert!(target > self.now, "an idle hierarchy has a future event");
-                let skipped = target - self.now;
-                self.now = target;
-                if target < due {
-                    self.last_progress = target;
-                } else if skipped >= 2 {
-                    self.last_progress = target - 1;
-                }
-                idle = target < due;
-            } else {
-                self.step();
-                idle = !self.has_due_work();
-                if idle {
-                    // Only future-scheduled launches / backoffs remain;
-                    // the clock itself is the progress.
-                    self.last_progress = self.now;
-                }
-            }
-            if self.now.saturating_sub(self.last_progress) > stall_window {
-                stalled = true;
-                break;
-            }
-        }
-        self.sync_carriers();
-        let mut report = self.report_with(stalled);
-        report.perf = Some(PerfStats::measure(
-            self.now - from,
-            start.elapsed(),
-            self.exec.threads(),
-        ));
-        report
-    }
-
-    /// Builds a report of everything observed so far.
-    pub fn report(&self) -> HierReport {
-        self.report_with(false)
-    }
-
-    fn report_with(&self, stalled: bool) -> HierReport {
-        let mut leg_refusals = 0;
-        let mut leg_retries = 0;
-        let mut fault_kills = 0;
-        for net in &self.carriers {
-            let r: RunReport = net.report();
-            leg_refusals += r.refusals;
-            leg_retries += r.retries;
-            fault_kills += r.fault_kills;
-        }
-        HierReport {
-            ticks: self.now,
-            submitted: self.msgs.len(),
-            delivered: self.delivered.len(),
-            aborted: self.aborted.len(),
-            undelivered: self.live,
-            stalled,
-            bridge_refusals: self.bridge_refusals,
-            leg_refusals,
-            leg_retries,
-            fault_kills,
-            makespan: self.last_delivery_at,
-            latency_sum: self.latency_sum,
-            perf: None,
-        }
-    }
-
-    /// Window for the no-progress stall detector: generous multiples of
-    /// the span, backoff and timeout scales involved.
-    fn stall_window(&self) -> u64 {
-        let backoff = self
-            .cfg
-            .bridge_backoff()
-            .max(self.cfg.local().node.retry_backoff)
-            .max(self.cfg.global().node.retry_backoff);
-        4 * self.cfg.total_nodes() as u64
-            + 16 * backoff
-            + 3 * self.cfg.local().head_timeout.unwrap_or(0)
-            + 3 * self.cfg.global().head_timeout.unwrap_or(0)
-            + 1024
-    }
-
-    // ------------------------------------------------------------------
-    // Leg launching.
-    // ------------------------------------------------------------------
-
-    /// Launches due messages out of their source PEs: intra-ring traffic
-    /// goes straight into its local ring; inter-ring traffic needs an up
-    /// slot at its ring's bridge first. Due messages launch in id order,
-    /// which is submission order: earlier messages win the bridge slots.
-    fn launch_source_legs(&mut self) {
-        let now = self.now;
-        let mut due = std::mem::take(&mut self.due);
-        while let Some(&Reverse((not_before, id))) = self.at_source.peek() {
-            if not_before > now {
-                break;
-            }
-            self.at_source.pop();
-            due.push(id);
-        }
-        due.sort_unstable();
-        for &id in &due {
-            self.launch_from_source(id);
-        }
-        due.clear();
-        self.due = due;
-    }
-
-    /// Attempts the first leg of due message `id`. A full up queue
-    /// refuses it: it backs off and re-enters the source queue.
-    fn launch_from_source(&mut self, id: u64) {
-        let now = self.now;
-        let spec = self.msgs[id as usize].spec;
-        debug_assert!(matches!(
-            self.msgs[id as usize].stage,
-            Stage::AtSource { not_before } if not_before <= now
-        ));
-        if spec.is_intra_ring() {
-            let r = spec.source.ring;
-            let leg = MessageSpec::new(spec.source.node, spec.destination.node, spec.data_flits)
-                .at(now);
-            self.launch(id, r, leg, HierLeg::SourceLocal, None, None);
-            return;
-        }
-        let b = spec.source.ring;
-        if self.bridges[b as usize].up_occupancy() >= self.cfg.bridge_queue_depth() {
-            self.refuse(id, b, "up");
-            let m = &mut self.msgs[id as usize];
-            let not_before = now + self.cfg.bridge_backoff() * m.refusals as u64;
-            m.stage = Stage::AtSource { not_before };
-            self.at_source.push(Reverse((not_before, id)));
-            return;
-        }
-        self.bridges[b as usize].up_reserved += 1;
-        let leg = MessageSpec::new(spec.source.node, self.cfg.bridge(), spec.data_flits).at(now);
-        self.launch(id, b, leg, HierLeg::SourceLocal, None, Some(b));
-    }
-
-    /// Launches due messages out of bridge queues: the down direction
-    /// first (it never waits on another queue), then the up direction,
-    /// which must reserve a down slot at the destination bridge. One
-    /// launch per direction per bridge per tick — a bridge's egress is a
-    /// single INC port.
-    fn launch_bridge_legs(&mut self) {
-        let now = self.now;
-        let depth = self.cfg.bridge_queue_depth();
-        for r in 0..self.cfg.rings() {
-            if let Some(&id) = self.bridges[r as usize].down.front() {
-                if self.due_at_bridge(id) {
-                    self.bridges[r as usize].down.pop_front();
-                    self.bridges[r as usize].down_in_transit += 1;
-                    self.parked -= 1;
-                    let spec = self.msgs[id as usize].spec;
-                    let leg =
-                        MessageSpec::new(self.cfg.bridge(), spec.destination.node, spec.data_flits)
-                            .at(now);
-                    self.launch(id, r, leg, HierLeg::DestLocal, Some(r), None);
-                    self.trace(id, TraceKind::BridgeEgress, r, "dest-local leg launched");
-                }
-            }
-            if let Some(&id) = self.bridges[r as usize].up.front() {
-                if self.due_at_bridge(id) {
-                    let dest = self.msgs[id as usize].spec.destination.ring;
-                    if self.bridges[dest as usize].down_occupancy() >= depth {
-                        self.refuse(id, dest, "down");
-                        let m = &mut self.msgs[id as usize];
-                        m.stage = Stage::AtBridge {
-                            not_before: now + self.cfg.bridge_backoff() * m.refusals as u64,
-                        };
-                    } else {
-                        self.bridges[r as usize].up.pop_front();
-                        self.bridges[r as usize].up_in_transit += 1;
-                        self.parked -= 1;
-                        self.bridges[dest as usize].down_reserved += 1;
-                        let flits = self.msgs[id as usize].spec.data_flits;
-                        let leg =
-                            MessageSpec::new(NodeId::new(r), NodeId::new(dest), flits).at(now);
-                        let g = self.cfg.rings();
-                        self.launch(id, g, leg, HierLeg::Global, Some(r), Some(dest));
-                        self.trace(id, TraceKind::BridgeEgress, r, "global leg launched");
-                    }
-                }
-            }
-        }
-    }
-
-    /// Submits one leg into carrier `c` and records it as in flight. A
-    /// carrier that sat idle lags the hierarchy clock; it is caught up
-    /// first, so the leg enters it at `now`, and it is advanced this tick.
-    fn launch(
-        &mut self,
-        id: u64,
-        c: u32,
-        leg_spec: MessageSpec,
-        leg: HierLeg,
-        from: Option<u32>,
-        to: Option<u32>,
-    ) {
-        let net = &mut self.carriers[c as usize];
-        net.run_window(self.now);
-        let rid = net.submit(leg_spec).expect("leg spec is valid by construction");
-        self.wake[c as usize] = self.now;
-        self.in_flight.insert((c, rid.get()), id);
-        self.msgs[id as usize].stage = Stage::InFlight { leg, from, to };
-        self.last_progress = self.now;
-    }
-
-    /// Counts a bridge-queue refusal against message `id` (the caller
-    /// rewrites its stage with the backed-off `not_before`).
-    fn refuse(&mut self, id: u64, bridge: u32, dir: &str) {
-        self.msgs[id as usize].refusals += 1;
-        self.bridge_refusals += 1;
-        self.last_progress = self.now;
-        if self.recorder.is_some() {
-            let detail = format!("{dir} queue of bridge {bridge} full");
-            self.record(id, TraceKind::Refuse, bridge, detail);
-        }
-    }
-
-    fn due_at_bridge(&self, id: u64) -> bool {
-        matches!(
-            self.msgs[id as usize].stage,
-            Stage::AtBridge { not_before } if not_before <= self.now
-        )
-    }
-
-    // ------------------------------------------------------------------
-    // Leg completion.
-    // ------------------------------------------------------------------
-
-    /// Drains carrier `c`'s new deliveries and aborts, advancing the
-    /// affected messages' state machines. Only a carrier advanced this
-    /// tick can have any.
-    fn harvest(&mut self, c: u32) {
-        let ci = c as usize;
-        let net = &self.carriers[ci];
-        // Cursors are absolute sequence numbers (`delivered_total` /
-        // `aborted_records`), so they remain valid under windowed log
-        // retention inside the rings; `*_since` panics rather than skip
-        // if this per-tick harvest ever falls behind a window.
-        let (dlen, alen) = (net.delivered_total() as usize, net.aborted_records() as usize);
-        if dlen > self.dcur[ci] {
-            let new: Vec<DeliveredMessage> = net.delivered_since(self.dcur[ci]).to_vec();
-            self.dcur[ci] = dlen;
-            for d in new {
-                self.leg_delivered(c, &d);
-            }
-        }
-        if alen > self.acur[ci] {
-            // Re-borrow: `leg_delivered` needed `&mut self`.
-            let new: Vec<AbortedMessage> = self.carriers[ci].aborted_since(self.acur[ci]).to_vec();
-            self.acur[ci] = alen;
-            for a in new {
-                self.leg_aborted(c, &a);
-            }
-        }
-    }
-
-    fn leg_delivered(&mut self, c: u32, d: &DeliveredMessage) {
-        let id = self
-            .in_flight
-            .remove(&(c, d.request.get()))
-            .expect("every carrier request belongs to a tracked leg");
+    fn delivered(&mut self, core: &mut Core, id: u64, _c: u32, d: &DeliveredMessage) {
         let Stage::InFlight { leg, from, to } = self.msgs[id as usize].stage else {
             unreachable!("a delivered leg implies an in-flight message");
         };
-        self.last_progress = self.now;
         match (leg, to) {
             // Leg 1 of an inter-ring route: into the up queue. The dwell
             // clock starts at the tick the leg's last flit landed (equal
-            // to `self.now` when harvest runs every window, but anchored
-            // to the event so the formula stays exact under any window
+            // to `now` when harvest runs every window, but anchored to
+            // the event so the formula stays exact under any window
             // length).
             (HierLeg::SourceLocal, Some(b)) => {
                 self.bridges[b as usize].up_reserved -= 1;
@@ -876,7 +624,7 @@ impl HierNetwork {
                 self.msgs[id as usize].stage = Stage::AtBridge {
                     not_before: d.delivered_at + model::BRIDGE_DWELL_TICKS,
                 };
-                self.trace(id, TraceKind::BridgeIngress, b, "entered up queue");
+                core.trace(id, TraceKind::BridgeIngress, b, "entered up queue");
             }
             // Leg 2: across the global ring, into the down queue.
             (HierLeg::Global, _) => {
@@ -888,7 +636,7 @@ impl HierNetwork {
                 self.msgs[id as usize].stage = Stage::AtBridge {
                     not_before: d.delivered_at + model::BRIDGE_DWELL_TICKS,
                 };
-                self.trace(id, TraceKind::BridgeIngress, b, "entered down queue");
+                core.trace(id, TraceKind::BridgeIngress, b, "entered down queue");
             }
             // Final leg (or the only leg of intra-ring traffic).
             (HierLeg::DestLocal, _) | (HierLeg::SourceLocal, None) => {
@@ -906,18 +654,14 @@ impl HierNetwork {
                 self.latency_sum += rec.latency();
                 self.last_delivery_at = self.last_delivery_at.max(d.delivered_at);
                 self.delivered.push(rec);
-                self.live -= 1;
+                core.live -= 1;
                 let ring = rec.spec.destination.ring;
-                self.trace(id, TraceKind::Deliver, ring, "delivered end to end");
+                core.trace(id, TraceKind::Deliver, ring, "delivered end to end");
             }
         }
     }
 
-    fn leg_aborted(&mut self, c: u32, a: &AbortedMessage) {
-        let id = self
-            .in_flight
-            .remove(&(c, a.request.get()))
-            .expect("every carrier request belongs to a tracked leg");
+    fn aborted(&mut self, core: &mut Core, id: u64, c: u32, a: &AbortedMessage) {
         let Stage::InFlight { leg, from, to } = self.msgs[id as usize].stage else {
             unreachable!("an aborted leg implies an in-flight message");
         };
@@ -946,38 +690,29 @@ impl HierNetwork {
             aborted_at: a.aborted_at,
         };
         self.aborted.push(rec);
-        self.live -= 1;
-        self.last_progress = self.now;
+        core.live -= 1;
         let at = ring.unwrap_or(self.cfg.rings());
-        self.trace(id, TraceKind::Abort, at, "leg aborted, message dropped");
+        core.trace(id, TraceKind::Abort, at, "leg aborted, message dropped");
     }
 
-    // ------------------------------------------------------------------
-    // Instrumentation.
-    // ------------------------------------------------------------------
-
-    fn trace(&mut self, id: u64, kind: TraceKind, ring: u32, detail: &str) {
-        if self.recorder.is_some() {
-            self.record(id, kind, ring, detail.to_owned());
-        }
-    }
-
-    fn record(&mut self, id: u64, kind: TraceKind, ring: u32, detail: String) {
-        if let Some(rec) = &mut self.recorder {
-            rec.record(TraceEvent {
-                at: Tick::new(self.now),
-                kind,
-                id: Some(id),
-                node: Some(ring),
-                bus: None,
-                detail,
-            });
-        }
+    /// Window for the no-progress stall detector: generous multiples of
+    /// the span, backoff and timeout scales involved.
+    fn stall_window(&self) -> u64 {
+        let backoff = self
+            .cfg
+            .bridge_backoff()
+            .max(self.cfg.local().node.retry_backoff)
+            .max(self.cfg.global().node.retry_backoff);
+        4 * self.cfg.total_nodes() as u64
+            + 16 * backoff
+            + 3 * self.cfg.local().head_timeout.unwrap_or(0)
+            + 3 * self.cfg.global().head_timeout.unwrap_or(0)
+            + 1024
     }
 
     /// Panics when slot accounting drifted: occupancy above depth, or
     /// counters inconsistent with the message stages.
-    fn check_bridge_invariants(&self) {
+    fn check(&self, core: &Core) {
         let depth = self.cfg.bridge_queue_depth();
         let queued: usize = self.bridges.iter().map(|b| b.up.len() + b.down.len()).sum();
         assert_eq!(queued, self.parked, "parked count drifted");
@@ -1000,7 +735,36 @@ impl HierNetwork {
             .iter()
             .filter(|m| matches!(m.stage, Stage::Done | Stage::Failed))
             .count();
-        assert_eq!(self.msgs.len() - terminal, self.live, "live count drifted");
+        assert_eq!(self.msgs.len() - terminal, core.live, "live count drifted");
+    }
+}
+
+impl Hier {
+    /// Submits leg `from → to` of message `id` into carrier `c` and moves
+    /// the message to `stage`.
+    fn send(&mut self, core: &mut Core, id: u64, c: u32, from: NodeId, to: NodeId, stage: Stage) {
+        let flits = self.msgs[id as usize].spec.data_flits;
+        core.launch(id, c, from, to, flits);
+        self.msgs[id as usize].stage = stage;
+    }
+
+    /// Counts a bridge-queue refusal against message `id` (the caller
+    /// rewrites its stage with the backed-off `not_before`).
+    fn refuse(&mut self, core: &mut Core, id: u64, bridge: u32, dir: &str) {
+        self.msgs[id as usize].refusals += 1;
+        self.bridge_refusals += 1;
+        core.progress();
+        if core.recording() {
+            let detail = format!("{dir} queue of bridge {bridge} full");
+            core.record(id, TraceKind::Refuse, bridge, detail);
+        }
+    }
+
+    fn due_at_bridge(&self, id: u64, now: u64) -> bool {
+        matches!(
+            self.msgs[id as usize].stage,
+            Stage::AtBridge { not_before } if not_before <= now
+        )
     }
 }
 
@@ -1122,38 +886,22 @@ impl HierNetworkBuilder {
             g = g.max_retries(limit);
         }
         carriers.push(g.build());
-        // Fault plans are the only work a fresh carrier has scheduled.
-        let wake = carriers
-            .iter()
-            .map(|net| net.next_wake().unwrap_or(u64::MAX))
-            .collect();
-        HierNetwork {
+        let hier = Hier {
             bridges: vec![Bridge::default(); rings as usize],
             parked: 0,
             cfg: self.cfg,
-            dcur: vec![0; carriers.len()],
-            acur: vec![0; carriers.len()],
-            carriers,
-            wake,
             msgs: Vec::new(),
-            at_source: BinaryHeap::new(),
-            due: Vec::new(),
-            in_flight: HashMap::new(),
-            now: 0,
             delivered: Vec::new(),
             aborted: Vec::new(),
-            live: 0,
             bridge_refusals: 0,
             latency_sum: 0,
             last_delivery_at: 0,
-            last_progress: 0,
-            checked: self.checked,
-            recorder: self.recording.then(VecSink::new),
-            exec: self.exec,
-            pool: self
-                .exec
-                .is_sharded()
-                .then(|| ShardPool::new(self.exec.threads())),
+        };
+        HierNetwork {
+            engine: Engine {
+                core: Core::new(carriers, self.checked, self.recording, self.exec),
+                router: hier,
+            },
         }
     }
 }

@@ -14,7 +14,7 @@ use crate::schema::{
     Topology, Workload,
 };
 use crate::toml::ScenarioError;
-use rmb_analysis::{RmbGrid, RmbLattice, Table};
+use rmb_analysis::{RmbLattice, Table};
 use rmb_baselines::{KAryNCube, Network};
 use rmb_core::{FeasibilityMode, LogRetention, RmbNetwork, SchedulerMode};
 use rmb_hier::HierNetwork;
@@ -413,7 +413,7 @@ fn run_batch(
         }
         Topology::Grid { rows, cols, buses } => {
             let ring_cfg = RmbConfig::new((*cols).max(*rows), *buses).map_err(external)?;
-            let mut grid = RmbGrid::new(*rows, *cols, ring_cfg);
+            let mut grid = RmbLattice::new(vec![*cols, *rows], ring_cfg);
             run_baseline_batch(s, &mut grid, base)
         }
         Topology::Lattice { dims, buses } => {

@@ -68,7 +68,7 @@ pub enum Topology {
         /// Retry backoff override (default `nodes_per_ring`).
         retry_backoff: Option<u64>,
     },
-    /// Row/column RMB grid (`RmbGrid`, batch only).
+    /// Row/column RMB grid: the 2-D `RmbLattice` `[cols, rows]` (batch only).
     Grid {
         /// Rows (>= 2).
         rows: u32,

@@ -81,6 +81,17 @@ fn the_zoo_covers_the_required_modes() {
         load("trace_replay").workload,
         rmb_scenario::Workload::Trace { .. }
     ));
+    // The lattice of rings runs on the composition engine shared with the
+    // hierarchy; its golden pins that path.
+    let lattice = load("lattice_batch");
+    assert!(matches!(
+        &lattice.topology,
+        rmb_scenario::Topology::Lattice { dims, .. } if dims == &[4, 4]
+    ));
+    assert!(matches!(
+        lattice.workload,
+        rmb_scenario::Workload::Uniform { .. }
+    ));
 }
 
 #[test]

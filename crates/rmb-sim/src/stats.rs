@@ -282,58 +282,6 @@ impl Histogram {
     }
 }
 
-/// A sampled time series, e.g. bus utilisation per tick window.
-///
-/// Records `(time, value)` pairs at a fixed sampling stride to bound memory.
-///
-/// # Examples
-///
-/// ```
-/// use rmb_sim::stats::TimeSeries;
-/// let mut ts = TimeSeries::new(10); // keep one sample per 10 ticks
-/// for t in 0..100 {
-///     ts.record(t, t as f64);
-/// }
-/// assert_eq!(ts.samples().len(), 10);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TimeSeries {
-    stride: u64,
-    samples: Vec<(u64, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates a series that keeps one sample per `stride` ticks
-    /// (`stride = 0` keeps everything).
-    pub fn new(stride: u64) -> Self {
-        TimeSeries {
-            stride,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Offers a sample at `time`; kept when it falls on the stride.
-    pub fn record(&mut self, time: u64, value: f64) {
-        if self.stride <= 1 || time.is_multiple_of(self.stride) {
-            self.samples.push((time, value));
-        }
-    }
-
-    /// The retained samples in recording order.
-    pub fn samples(&self) -> &[(u64, f64)] {
-        &self.samples
-    }
-
-    /// Mean of retained sample values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().map(|&(_, v)| v).sum::<f64>() / self.samples.len() as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,20 +374,5 @@ mod tests {
     #[should_panic(expected = "bin width")]
     fn histogram_zero_width_panics() {
         let _ = Histogram::new(0, 4);
-    }
-
-    #[test]
-    fn time_series_stride() {
-        let mut ts = TimeSeries::new(4);
-        for t in 0..16 {
-            ts.record(t, 1.0);
-        }
-        assert_eq!(ts.samples().len(), 4);
-        assert_eq!(ts.mean(), 1.0);
-        let mut dense = TimeSeries::new(0);
-        dense.record(0, 2.0);
-        dense.record(1, 4.0);
-        assert_eq!(dense.samples().len(), 2);
-        assert_eq!(dense.mean(), 3.0);
     }
 }

@@ -7,6 +7,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== non-test LOC per crate (print only, no gate) =="
+scripts/loc.sh
+
 echo "== clippy (perf lints as errors) =="
 cargo clippy --workspace --all-targets -- -D clippy::perf
 
