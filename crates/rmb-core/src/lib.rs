@@ -21,6 +21,8 @@
 //!   (Table 2, Fig. 9–10) with Lemma 1 instrumentation.
 //! * [`RmbNetwork`] — the ring simulator: routing protocol, synchronous or
 //!   handshake compaction, statistics, tracing, invariant checking.
+//! * [`LoneMemo`] — lives of lone circuits, recorded and replayed by
+//!   [`RmbNetwork::run_window`] instead of ticked.
 //! * [`microsim::FlitLevelRmb`] — an independent flit-object engine with
 //!   explicit Table 1 registers, used to cross-validate `RmbNetwork`.
 //! * [`derive_inc`] — projects Table 1 registers out of the network state.
@@ -66,7 +68,7 @@ pub use compaction::{
 pub use cycle::{CycleController, CycleFlags, CycleRing, CycleStep, SwitchState};
 pub use inc::{derive_inc, IncView};
 pub use invariants::InvariantViolation;
-pub use network::{CompactionMode, RmbNetwork, RunReport};
+pub use network::{CompactionMode, LoneLife, LoneMemo, RmbNetwork, RunReport};
 pub use options::{FeasibilityMode, LogRetention, RmbNetworkBuilder, SchedulerMode, SimOptions};
 pub use render::{bus_letter, render_inc_status, render_occupancy, render_virtual_buses};
 pub use status::{PortStatus, SourceDir};

@@ -69,5 +69,5 @@ mod engine;
 pub mod model;
 mod network;
 
-pub use compose::{route, Leg, LegMap, Routed};
+pub use compose::{route, route_checked, Leg, LegMap, Routed};
 pub use network::{HierAborted, HierDelivered, HierNetwork, HierNetworkBuilder, HierReport};

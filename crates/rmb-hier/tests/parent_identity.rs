@@ -11,6 +11,12 @@
 //! Half run `run_to_quiescence` (twice, the first call cut by a tick
 //! budget), half a `tick()` loop; both submit a second batch mid-run,
 //! half of it dated in the past. Some run sharded.
+//!
+//! Unchecked serial carriers replay memoised lone circuits instead of
+//! ticking them; checked carriers and sharded ones never do. Every
+//! scenario is therefore also rerun with `checked` flipped, which must
+//! reproduce the same pins, and the replays are counted to show that the
+//! pins cover them.
 
 use rmb_core::SchedulerMode;
 use rmb_hier::{HierNetwork, HierReport};
@@ -162,10 +168,12 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// Runs scenario `i` and returns its digest and every carrier's mean
-/// utilisation (locals, then the global ring).
-fn observe(i: u64) -> (u64, Vec<f64>) {
-    let c = case(i);
+/// Runs scenario `i`, with `checked` flipped when `flip`, and returns its
+/// digest, every carrier's mean utilisation (locals, then the global
+/// ring) and the carrier ticks it replayed from memoised lone circuits.
+fn observe(i: u64, flip: bool) -> (u64, Vec<f64>, u64) {
+    let mut c = case(i);
+    c.checked ^= flip;
     let rings = c.cfg.rings();
     let mut rng = SimRng::seed(c.seed);
     let mut builder = HierNetwork::builder(c.cfg)
@@ -226,7 +234,7 @@ fn observe(i: u64) -> (u64, Vec<f64>) {
         writeln!(text, "{:?}", ring.aborted_log()).unwrap();
         writeln!(text, "{report:?}").unwrap();
     }
-    (fnv1a(&text), utilization)
+    (fnv1a(&text), utilization, net.lone_memo().jumped_ticks())
 }
 
 /// `mean_utilization` is compared to 1e-9 relative rather than folded into
@@ -239,9 +247,11 @@ fn utilization_matches(got: f64, want: f64) -> bool {
     (got - want).abs() <= 1e-9 * got.abs().max(want.abs())
 }
 
-#[test]
-fn hierarchy_reproduces_the_pinned_scenarios() {
-    let observed: Vec<(u64, Vec<f64>)> = (0..SCENARIOS).map(observe).collect();
+/// Checks every scenario, run with `checked` flipped when `flip`,
+/// against its pins; returns the ticks each replayed.
+fn reproduce(flip: bool) -> Vec<u64> {
+    let runs: Vec<(u64, Vec<f64>, u64)> = (0..SCENARIOS).map(|i| observe(i, flip)).collect();
+    let observed: Vec<(u64, Vec<f64>)> = runs.iter().map(|(d, u, _)| (*d, u.clone())).collect();
     let mut failures = Vec::new();
     if observed.len() != EXPECTED.len() {
         failures.push(format!(
@@ -276,6 +286,43 @@ fn hierarchy_reproduces_the_pinned_scenarios() {
         }
         panic!("{}\n\nobserved table:\n{table}", failures.join("\n"));
     }
+    runs.iter().map(|r| r.2).collect()
+}
+
+#[test]
+fn hierarchy_reproduces_the_pinned_scenarios() {
+    reproduce(false);
+}
+
+/// Flipping `checked` turns lone-circuit replay off in the scenarios that
+/// had it and on in those that did not; the pins must not move. Only
+/// unchecked serial carriers replay, and most of the scenarios that run
+/// them to quiescence do (a `tick()` loop catches every carrier up on
+/// every tick, so it leaves nothing to replay).
+#[test]
+fn checked_flip_reproduces_the_pinned_scenarios() {
+    let plain = reproduce(false);
+    let flipped = reproduce(true);
+    let (mut candidates, mut replaying) = (0, 0);
+    for i in 0..SCENARIOS {
+        let c = case(i);
+        let serial = !c.exec.is_sharded();
+        for (checked, jumped) in [
+            (c.checked, plain[i as usize]),
+            (!c.checked, flipped[i as usize]),
+        ] {
+            if checked || !serial {
+                assert_eq!(jumped, 0, "scenario {i} (checked {checked}) replayed");
+            } else if !c.tick_loop {
+                candidates += 1;
+                replaying += usize::from(jumped > 0);
+            }
+        }
+    }
+    assert!(
+        2 * replaying >= candidates,
+        "{replaying} of {candidates} unchecked serial runs replayed"
+    );
 }
 
 /// Digest and per-carrier mean utilisation of each scenario, in order.
