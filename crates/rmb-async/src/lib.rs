@@ -21,13 +21,6 @@
 //!   reaches: every bus on the lowest segments reachable under the ±1
 //!   switching constraint.
 //!
-//! A third layer serves the hierarchy rather than a single ring:
-//! [`ShardPool`] is a persistent fork/join pool that `rmb-hier`'s sharded
-//! engine uses to advance many independent rings inside each conservative
-//! time window. It is the only module in the workspace allowed to use
-//! `unsafe` (for the type-erased disjoint `&mut` dispatch); see its module
-//! docs for the safety argument.
-//!
 //! # Examples
 //!
 //! ```
@@ -38,13 +31,11 @@
 //! assert!(stats.transitions.iter().all(|&t| t >= 50));
 //! ```
 
-#![deny(unsafe_code)] // `shard` opts out locally with a documented safety argument
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod compactor;
 mod cycle_ring;
-mod shard;
 
 pub use compactor::{CompactionResult, StaticBus, ThreadedCompactor};
 pub use cycle_ring::{CycleRunStats, ThreadedCycleRing};
-pub use shard::ShardPool;

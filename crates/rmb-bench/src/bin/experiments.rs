@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments [--exp NAME] [--n N] [--k K] [--flits F] [--seed S]
-//!             [--rate R] [--ticks T] [--threads T] [--scenario FILE]
+//!             [--rate R] [--ticks T] [--scenario FILE]
 //!             [--json] [--list]
 //! ```
 //!
@@ -31,7 +31,6 @@ struct Options {
     seed: u64,
     ticks: Option<u64>,
     rate: Option<f64>,
-    threads: usize,
     scenario: Option<String>,
     json: bool,
     list: bool,
@@ -41,7 +40,7 @@ fn usage() -> String {
     let names: Vec<&str> = registry().iter().map(|e| e.name()).collect();
     format!(
         "usage: experiments [--exp {}|all] [--n N] [--k K] [--flits F] \
-         [--seed S] [--rate R] [--ticks T] [--threads T] [--scenario FILE] \
+         [--seed S] [--rate R] [--ticks T] [--scenario FILE] \
          [--json] [--list]",
         names.join("|")
     )
@@ -56,7 +55,6 @@ fn parse() -> Options {
         seed: 1996,
         ticks: None,
         rate: None,
-        threads: 1,
         scenario: None,
         json: false,
         list: false,
@@ -78,9 +76,6 @@ fn parse() -> Options {
             "--seed" => opt.seed = value("--seed").parse().expect("numeric --seed"),
             "--ticks" => opt.ticks = Some(value("--ticks").parse().expect("numeric --ticks")),
             "--rate" => opt.rate = Some(value("--rate").parse().expect("numeric --rate")),
-            "--threads" => {
-                opt.threads = value("--threads").parse().expect("numeric --threads");
-            }
             "--scenario" => opt.scenario = Some(value("--scenario")),
             "--json" => opt.json = true,
             "--list" => opt.list = true,
@@ -123,7 +118,6 @@ fn main() {
         all,
         ticks: opt.ticks,
         rate: opt.rate,
-        threads: opt.threads.max(1),
         scenario: opt.scenario.clone(),
     };
 

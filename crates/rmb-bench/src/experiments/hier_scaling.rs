@@ -18,18 +18,8 @@ use rmb_analysis::Table;
 use rmb_core::RmbNetwork;
 use rmb_hier::HierNetwork;
 use rmb_sim::SimRng;
-use rmb_types::{ExecMode, HierConfig, MessageSpec, RmbConfig};
+use rmb_types::{HierConfig, MessageSpec, RmbConfig};
 use rmb_workloads::LocalityTraffic;
-
-/// `Serial` for one thread, `Sharded` otherwise — the shared convention
-/// for mapping a `--threads` count onto the hierarchy engine.
-pub(crate) fn exec_mode_for(threads: usize) -> ExecMode {
-    if threads <= 1 {
-        ExecMode::Serial
-    } else {
-        ExecMode::Sharded(threads)
-    }
-}
 
 /// One topology's measurement for a `(rings, n, k, locality)` cell.
 #[derive(Debug, Clone)]
@@ -63,9 +53,6 @@ pub struct HierScalingRow {
     pub mean_latency: f64,
     /// `true` if the run deadlocked (it must not).
     pub stalled: bool,
-    /// Engine threads the hierarchy ran on (1 for the flat row — the
-    /// flat ring has no sharded engine).
-    pub threads: u32,
     /// Wall-clock milliseconds of the run. Host measurement metadata:
     /// the one nondeterministic column in the row (absent for rows built
     /// without timing).
@@ -86,16 +73,11 @@ fn throughput(delivered: usize, makespan: u64) -> f64 {
 /// Each cell offers an identical workload to the hierarchy and to a flat
 /// ring of `rings * n` nodes, and yields one row per topology (hier
 /// first). Cells run in parallel; rows come back in input order.
-///
-/// `threads` selects the hierarchy's engine (1 = serial oracle, more =
-/// sharded); every column except the wall-clock pair is independent of
-/// it.
 pub fn hier_scaling_experiment(
     shapes: &[(u32, u32, u16)],
     localities: &[f64],
     flits: u32,
     seed: u64,
-    threads: usize,
 ) -> Vec<HierScalingRow> {
     let cells: Vec<(u32, u32, u16, f64)> = shapes
         .iter()
@@ -125,7 +107,7 @@ pub fn hier_scaling_experiment(
         }
         .generate(count, spread, &mut rng);
 
-        let mut hier = HierNetwork::builder(cfg).exec_mode(exec_mode_for(threads)).build();
+        let mut hier = HierNetwork::new(cfg);
         hier.submit_all(msgs.iter().copied()).expect("valid workload");
         let hr = hier.run_to_quiescence(64_000_000);
         let hier_row = HierScalingRow {
@@ -143,7 +125,6 @@ pub fn hier_scaling_experiment(
             throughput: throughput(hr.delivered, hr.makespan),
             mean_latency: hr.mean_latency(),
             stalled: hr.stalled,
-            threads: hr.perf.map_or(1, |p| p.threads),
             wall_ms: hr.perf.map(|p| p.wall_ms),
             sim_ticks_per_sec: hr.perf.map(|p| p.sim_ticks_per_sec),
         };
@@ -177,7 +158,6 @@ pub fn hier_scaling_experiment(
             throughput: throughput(fr.delivered, fr.makespan()),
             mean_latency: fr.mean_latency(),
             stalled: fr.stalled,
-            threads: 1,
             wall_ms: None,
             sim_ticks_per_sec: None,
         };
@@ -219,7 +199,7 @@ mod tests {
     fn hierarchy_beats_the_flat_ring_at_high_locality() {
         // The acceptance shape: 4 rings of 16 (flat N = 64), k = 4,
         // locality 0.8.
-        let rows = hier_scaling_experiment(&[(4, 16, 4)], &[0.8], 8, 1996, 1);
+        let rows = hier_scaling_experiment(&[(4, 16, 4)], &[0.8], 8, 1996);
         assert_eq!(rows.len(), 2);
         let (hier, flat) = (&rows[0], &rows[1]);
         assert_eq!(hier.topology, "hier");
@@ -240,30 +220,13 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_and_conserves_messages() {
-        let a = hier_scaling_experiment(&[(2, 8, 2)], &[0.5], 4, 7, 1);
-        let b = hier_scaling_experiment(&[(2, 8, 2)], &[0.5], 4, 7, 1);
+        let a = hier_scaling_experiment(&[(2, 8, 2)], &[0.5], 4, 7);
+        let b = hier_scaling_experiment(&[(2, 8, 2)], &[0.5], 4, 7);
         assert_eq!(a.len(), 2);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.delivered, y.delivered);
             assert_eq!(x.makespan, y.makespan);
             assert_eq!(x.delivered + x.aborted, x.messages);
         }
-    }
-
-    #[test]
-    fn threads_change_wall_columns_only() {
-        let serial = hier_scaling_experiment(&[(2, 8, 2)], &[0.5], 4, 7, 1);
-        let sharded = hier_scaling_experiment(&[(2, 8, 2)], &[0.5], 4, 7, 2);
-        for (s, p) in serial.iter().zip(&sharded) {
-            assert_eq!(s.delivered, p.delivered);
-            assert_eq!(s.aborted, p.aborted);
-            assert_eq!(s.bridge_refusals, p.bridge_refusals);
-            assert_eq!(s.makespan, p.makespan);
-            assert_eq!(s.mean_latency, p.mean_latency);
-        }
-        assert_eq!(serial[0].threads, 1);
-        assert_eq!(sharded[0].threads, 2, "hier row records its pool size");
-        assert_eq!(sharded[1].threads, 1, "flat row has no sharded engine");
-        assert!(sharded[0].wall_ms.is_some());
     }
 }

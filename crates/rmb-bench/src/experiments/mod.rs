@@ -11,7 +11,7 @@ mod deadlock;
 mod extensions;
 mod fault_tolerance;
 mod hier_scaling;
-mod hier_shard;
+mod hier_throughput;
 mod lemma1;
 mod load;
 mod open_loop;
@@ -32,7 +32,7 @@ pub use fault_tolerance::{
     fault_tolerance_experiment, fault_tolerance_table, FaultToleranceRow,
 };
 pub use hier_scaling::{hier_scaling_experiment, hier_scaling_table, HierScalingRow};
-pub use hier_shard::{hier_shard_experiment, hier_shard_table, HierShardRow};
+pub use hier_throughput::{hier_throughput_experiment, hier_throughput_table, HierThroughputRow};
 pub use lemma1::{lemma1_experiment, Lemma1Result};
 pub use load::{load_sweep, load_table, LoadPoint};
 pub use open_loop::{

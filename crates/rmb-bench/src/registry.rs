@@ -11,12 +11,12 @@
 use crate::experiments::{
     ablation_suite, ablation_table, competitiveness, competitiveness_table, deadlock_study,
     fault_tolerance_experiment, fault_tolerance_table, grid_experiment, grid_table,
-    hier_scaling_experiment, hier_scaling_table, hier_shard_experiment, hier_shard_table,
-    hotspot_experiment, hotspot_table,
-    lemma1_experiment, load_sweep, load_table, multi_send_experiment, multi_send_table,
-    multicast_experiment, multicast_table, open_loop_experiment, open_loop_soak, open_loop_table,
-    permutation_comparison, permutation_table, scaling_experiment, scaling_table, soak_table,
-    theorem1_experiment, wire_delay_experiment, wire_delay_table,
+    hier_scaling_experiment, hier_scaling_table, hier_throughput_experiment, hier_throughput_table,
+    hotspot_experiment, hotspot_table, lemma1_experiment, load_sweep, load_table,
+    multi_send_experiment, multi_send_table, multicast_experiment, multicast_table,
+    open_loop_experiment, open_loop_soak, open_loop_table, permutation_comparison,
+    permutation_table, scaling_experiment, scaling_table, soak_table, theorem1_experiment,
+    wire_delay_experiment, wire_delay_table,
 };
 use crate::rows::JsonReport;
 
@@ -39,12 +39,6 @@ pub struct ExpContext {
     pub ticks: Option<u64>,
     /// Optional single offered rate override (`--rate`) for rate sweeps.
     pub rate: Option<f64>,
-    /// Engine threads (`--threads`, default 1 = serial) for experiments
-    /// driving the sharded hierarchy engine. Orthogonal to `RMB_THREADS`,
-    /// which parallelises sweep *cells*; this parallelises ring advancement
-    /// *inside* one simulation. Results are identical either way — only
-    /// the wall-clock columns move.
-    pub threads: usize,
     /// Scenario file for the `scenario` experiment (`--scenario`). The
     /// arm is a no-op when absent, so `--exp all` skips it.
     pub scenario: Option<String>,
@@ -333,7 +327,7 @@ experiment!(
         let k = cx.k.min(4);
         let shapes = [(2, n, k), (4, n, k)];
         let localities = [0.0, 0.5, 0.8, 0.95];
-        let rows = hier_scaling_experiment(&shapes, &localities, cx.flits.min(8), cx.seed, cx.threads);
+        let rows = hier_scaling_experiment(&shapes, &localities, cx.flits.min(8), cx.seed);
         vec![ExpOutput::new(
             "hier-scaling",
             format!("Hierarchical scaling — bridged rings vs flat ring (n/ring = {n}, k = {k}):"),
@@ -344,14 +338,12 @@ experiment!(
 );
 
 experiment!(
-    HierShard,
-    "hier-shard",
-    "sharded-engine speedup grid: threads x rings x locality",
+    HierThroughput,
+    "hier-throughput",
+    "hierarchy engine wall-clock throughput: rings x locality",
     |cx| {
-        // Per-ring size from --n (capped), buses from --k. The thread
-        // axis comes from --threads: every power of two up to it, so
-        // `--threads 4` measures {1, 2, 4}. Shapes reach 64 rings so the
-        // parallel phase dominates the coordinator.
+        // Per-ring size from --n (capped), buses from --k. Shapes reach
+        // 64 rings, the cell bench-smoke gates against BENCH_PR9.json.
         let n = cx.n.min(16);
         let k = cx.k.min(4);
         let shapes: &[(u32, u32, u16)] = if cx.all {
@@ -359,21 +351,12 @@ experiment!(
         } else {
             &[(16, n, k), (64, n, k)]
         };
-        let localities = [0.5, 0.9];
-        let mut axis = vec![];
-        let mut t = 2usize;
-        while t <= cx.threads.max(2) {
-            axis.push(t);
-            t *= 2;
-        }
-        let rows = hier_shard_experiment(shapes, &localities, &axis, cx.seed);
+        let rows = hier_throughput_experiment(shapes, &[0.5, 0.9], cx.seed);
         vec![ExpOutput::new(
-            "hier-shard",
-            format!(
-                "Sharded hierarchy engine — wall-clock speedup vs serial (n/ring = {n}, k = {k}):"
-            ),
+            "hier-throughput",
+            format!("Hierarchy engine — wall-clock throughput (n/ring = {n}, k = {k}):"),
             &rows,
-            hier_shard_table(&rows),
+            hier_throughput_table(&rows),
         )]
     }
 );
@@ -422,7 +405,7 @@ experiment!(
             Some(r) => vec![r],
             None => default_rates.to_vec(),
         };
-        let rows = open_loop_experiment(n, k, cx.flits.min(8), &rates, duration, cx.seed, cx.threads);
+        let rows = open_loop_experiment(n, k, cx.flits.min(8), &rates, duration, cx.seed);
         vec![ExpOutput::new(
             "open_loop",
             format!(
@@ -520,7 +503,7 @@ pub fn registry() -> Vec<Box<dyn Experiment>> {
         Box::new(MultiSend),
         Box::new(FaultTolerance),
         Box::new(HierScaling),
-        Box::new(HierShard),
+        Box::new(HierThroughput),
         Box::new(Deadlock),
         Box::new(OpenLoop),
         Box::new(OpenLoopSoak),
@@ -555,7 +538,6 @@ mod tests {
             all: false,
             ticks: None,
             rate: None,
-            threads: 1,
             scenario: None,
         };
         let reg = registry();
@@ -578,7 +560,6 @@ mod tests {
             all: true,
             ticks: None,
             rate: None,
-            threads: 1,
             scenario: None,
         };
         let reg = registry();
@@ -596,7 +577,6 @@ mod tests {
             all: false,
             ticks: Some(1_500),
             rate: Some(0.003),
-            threads: 1,
             scenario: None,
         };
         let reg = registry();

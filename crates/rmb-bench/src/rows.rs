@@ -117,8 +117,8 @@ macro_rules! json_report {
 }
 
 use crate::experiments::{
-    AblationResult, CompetitivenessRow, DeadlockResult, FaultToleranceRow, GridRow,
-    HierScalingRow, HierShardRow, HotspotRow, Lemma1Result, LoadPoint, MultiSendRow, MulticastRow,
+    AblationResult, CompetitivenessRow, DeadlockResult, FaultToleranceRow, GridRow, HierScalingRow,
+    HierThroughputRow, HotspotRow, Lemma1Result, LoadPoint, MultiSendRow, MulticastRow,
     OpenLoopRow, PermutationRow, ScalingRow, SoakRow, Theorem1Result, WireDelayRow,
 };
 
@@ -170,23 +170,18 @@ json_report!(HierScalingRow {
     throughput,
     mean_latency,
     stalled,
-    threads,
     wall_ms,
     sim_ticks_per_sec,
 });
-json_report!(HierShardRow {
-    threads,
+json_report!(HierThroughputRow {
     rings,
     n,
     k,
-    total_nodes,
     locality,
     messages,
     ticks,
     wall_ms,
     sim_ticks_per_sec,
-    speedup,
-    matches_serial,
     host_threads,
 });
 json_report!(OpenLoopRow {
@@ -206,7 +201,6 @@ json_report!(OpenLoopRow {
     p999,
     utilization,
     ticks,
-    threads,
 });
 json_report!(SoakRow {
     topology,

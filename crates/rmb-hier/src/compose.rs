@@ -10,9 +10,7 @@
 
 use crate::engine::{Core, Engine, Router};
 use rmb_core::RmbNetwork;
-use rmb_types::{
-    AbortedMessage, DeliveredMessage, ExecMode, MessageSpec, NodeId, RequestId, RmbConfig,
-};
+use rmb_types::{AbortedMessage, DeliveredMessage, MessageSpec, NodeId, RequestId, RmbConfig};
 
 /// One circuit leg of a routed message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,7 +101,7 @@ fn route_with<M: LegMap>(
         .map(|cfg| RmbNetwork::builder(cfg).checked(checked).build())
         .collect();
     let mut engine = Engine {
-        core: Core::new(carriers, checked, false, ExecMode::Serial),
+        core: Core::new(carriers, checked, false),
         router: Corners {
             map,
             messages,

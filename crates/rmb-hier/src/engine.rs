@@ -20,27 +20,12 @@
 //!   aborts;
 //! - the idle-stretch jump and the no-progress stall detector of
 //!   [`Engine::run`], whose window the router supplies;
-//! - the trace recorder, checked mode, and the serial or sharded advance.
-//!
-//! # Execution modes
-//!
-//! All cross-ring coupling lives in the coordinator phases: launching
-//! reads and writes router state before any ring moves, and harvesting
-//! drains ring logs after every advanced ring has finished the tick. The
-//! rings advance independently in between. That structure is what makes
-//! the conservative parallel engine exact rather than approximate: under
-//! [`ExecMode::Sharded`], the ring-advance phase of each synchronisation
-//! window runs on a [`ShardPool`] while both coordinator phases stay on
-//! the calling thread, so every observable (reports, delivery logs, trace
-//! events, per-ring RNG draws) is byte-identical to [`ExecMode::Serial`].
-//! The window is one tick, the hierarchy's lookahead
-//! ([`crate::model::BRIDGE_DWELL_TICKS`]; see `DESIGN.md` §9b).
+//! - the trace recorder and checked mode.
 
-use rmb_async::ShardPool;
 use rmb_core::{LoneMemo, RmbNetwork};
 use rmb_sim::trace::{TraceEvent, TraceKind, TraceSink, VecSink};
 use rmb_sim::Tick;
-use rmb_types::{AbortedMessage, DeliveredMessage, ExecMode, MessageSpec, NodeId};
+use rmb_types::{AbortedMessage, DeliveredMessage, MessageSpec, NodeId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -111,18 +96,10 @@ pub(crate) struct Core {
     last_progress: u64,
     checked: bool,
     recorder: Option<VecSink>,
-    pub(crate) exec: ExecMode,
-    /// Worker pool for [`ExecMode::Sharded`]; `None` under `Serial`.
-    pool: Option<ShardPool>,
 }
 
 impl Core {
-    pub(crate) fn new(
-        carriers: Vec<RmbNetwork>,
-        checked: bool,
-        recording: bool,
-        exec: ExecMode,
-    ) -> Self {
+    pub(crate) fn new(carriers: Vec<RmbNetwork>, checked: bool, recording: bool) -> Self {
         // Fault plans are the only work a fresh carrier has scheduled.
         let wake = carriers
             .iter()
@@ -142,8 +119,6 @@ impl Core {
             last_progress: 0,
             checked,
             recorder: recording.then(VecSink::new),
-            exec,
-            pool: exec.is_sharded().then(|| ShardPool::new(exec.threads())),
         }
     }
 
@@ -238,9 +213,9 @@ pub(crate) struct Engine<R> {
 }
 
 impl<R: Router> Engine<R> {
-    /// Advances one synchronisation window (one tick), then catches every
-    /// carrier up to the new clock, so a tick-driven caller reads the same
-    /// per-carrier state as if every ring had ticked.
+    /// Advances one tick, then catches every carrier up to the new clock,
+    /// so a tick-driven caller reads the same per-carrier state as if
+    /// every ring had ticked.
     pub(crate) fn tick(&mut self) {
         self.step();
         self.sync_carriers();
@@ -278,30 +253,16 @@ impl<R: Router> Engine<R> {
         self.core.due = due;
     }
 
-    /// The parallel phase: every carrier whose wake has come advances
-    /// itself to the window boundary `until`, independently of every
-    /// other ring. Then, on the calling thread and in ascending carrier
-    /// order, their new deliveries and aborts are harvested and their
-    /// wakes refreshed.
+    /// Advances every carrier whose wake has come to `until`, in
+    /// ascending carrier order, then hands their new deliveries and
+    /// aborts to the router and refreshes their wakes.
     fn advance(&mut self, until: u64) {
         let core = &mut self.core;
         let now = core.now;
-        let due = core
-            .carriers
-            .iter_mut()
-            .zip(&core.wake)
-            .filter(|&(_, &wake)| wake <= now)
-            .map(|(net, _)| net);
-        if let Some(pool) = &mut core.pool {
-            // Workers cannot share the memo: each window hands every
-            // sharded carrier a fresh one.
-            let mut shards: Vec<&mut RmbNetwork> = due.collect();
-            pool.run_shards(&mut shards, &|_, net| {
-                net.run_window(until, &mut LoneMemo::new());
-            });
-        } else {
-            let memo = &mut core.memo;
-            due.for_each(|net| net.run_window(until, memo));
+        for (net, &wake) in core.carriers.iter_mut().zip(&core.wake) {
+            if wake <= now {
+                net.run_window(until, &mut core.memo);
+            }
         }
         for c in 0..self.core.carriers.len() {
             if self.core.wake[c] <= now {

@@ -31,16 +31,6 @@
 //! instead of bridge queues: `rmb-analysis` maps its lattice of rings and
 //! its dual ring this way.
 //!
-//! # Parallel execution
-//!
-//! The hierarchy can advance its rings across cores: build with
-//! [`HierNetworkBuilder::exec_mode`] and
-//! [`ExecMode::Sharded`](rmb_types::ExecMode) and each conservative time
-//! window's ring-advance phase is striped over a persistent worker pool,
-//! while all cross-ring coordination (leg launches, bridge queues,
-//! harvesting) stays on the calling thread. The serial engine remains the
-//! oracle: every report, log and trace is byte-identical across modes.
-//!
 //! # Examples
 //!
 //! ```

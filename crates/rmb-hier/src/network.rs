@@ -36,8 +36,8 @@ use crate::model;
 use rmb_core::{LoneMemo, RmbNetwork, RunReport, SchedulerMode};
 use rmb_sim::trace::{TraceEvent, TraceKind};
 use rmb_types::{
-    AbortedMessage, DeliveredMessage, ExecMode, FaultPlan, HierConfig, HierLeg, HierMessageSpec,
-    NodeId, PerfStats, ProtocolError, RequestId,
+    AbortedMessage, DeliveredMessage, FaultPlan, HierConfig, HierLeg, HierMessageSpec, NodeId,
+    PerfStats, ProtocolError, RequestId,
 };
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -81,8 +81,8 @@ pub struct HierAborted {
 /// Summary of a hierarchical run.
 ///
 /// Equality ignores [`perf`](Self::perf): wall-clock measurement is host
-/// metadata, and a sharded run's report must compare equal to the serial
-/// oracle's even though the two clocks differ.
+/// metadata, and two runs of the same workload must compare equal even
+/// though their clocks differ.
 #[derive(Debug, Clone, Copy)]
 pub struct HierReport {
     /// Ticks simulated.
@@ -296,7 +296,6 @@ impl HierNetwork {
             checked: false,
             recording: false,
             scheduler: SchedulerMode::EventDriven,
-            exec: ExecMode::Serial,
         }
     }
 
@@ -365,8 +364,8 @@ impl HierNetwork {
     /// name, then by the order the coordinator emitted them within that
     /// tick and ring. Earlier versions returned raw emission order, which
     /// interleaved rings according to internal phase structure; the sorted
-    /// order is what consumers can rely on, it is identical across
-    /// [`ExecMode`]s, and the stable sort keeps per-ring causality intact.
+    /// order is what consumers can rely on, and the stable sort keeps
+    /// per-ring causality intact.
     pub fn take_events(&mut self) -> Vec<TraceEvent> {
         self.engine.core.take_events()
     }
@@ -413,23 +412,13 @@ impl HierNetwork {
         specs.into_iter().map(|s| self.submit(s)).collect()
     }
 
-    /// Advances the hierarchy by one synchronisation window (one tick, the
-    /// model's lookahead): launches due legs, advances and harvests the
-    /// carriers with due work, then catches every other carrier up to the
-    /// new clock. Callers that drive the hierarchy tick by tick therefore
-    /// read the same per-carrier state as if every ring had ticked.
-    ///
-    /// Both launch phases and the harvest run on the calling thread in
-    /// every mode; only the ring-advance phase in between is striped
-    /// across the shard pool under [`ExecMode::Sharded`]. Rings exchange
-    /// no state inside a window, so the result is identical either way.
+    /// Advances the hierarchy by one tick: launches due legs, advances and
+    /// harvests the carriers with due work, then catches every other
+    /// carrier up to the new clock. Callers that drive the hierarchy tick
+    /// by tick therefore read the same per-carrier state as if every ring
+    /// had ticked.
     pub fn tick(&mut self) {
         self.engine.tick();
-    }
-
-    /// The execution mode this hierarchy was built with.
-    pub const fn exec_mode(&self) -> ExecMode {
-        self.engine.core.exec
     }
 
     /// `true` when some ring has due work, including a lone leg it replays
@@ -459,11 +448,7 @@ impl HierNetwork {
         let from = self.now();
         let stalled = self.engine.run(max_ticks);
         let mut report = self.report_with(stalled);
-        report.perf = Some(PerfStats::measure(
-            self.now() - from,
-            start.elapsed(),
-            self.exec_mode().threads(),
-        ));
+        report.perf = Some(PerfStats::measure(self.now() - from, start.elapsed(), 1));
         report
     }
 
@@ -620,10 +605,7 @@ impl Router for Hier {
         };
         match (leg, to) {
             // Leg 1 of an inter-ring route: into the up queue. The dwell
-            // clock starts at the tick the leg's last flit landed (equal
-            // to `now` when harvest runs every window, but anchored to
-            // the event so the formula stays exact under any window
-            // length).
+            // clock starts at the tick the leg's last flit landed.
             (HierLeg::SourceLocal, Some(b)) => {
                 self.bridges[b as usize].up_reserved -= 1;
                 self.bridges[b as usize].up.push_back(id);
@@ -798,7 +780,6 @@ pub struct HierNetworkBuilder {
     checked: bool,
     recording: bool,
     scheduler: SchedulerMode,
-    exec: ExecMode,
 }
 
 impl HierNetworkBuilder {
@@ -862,19 +843,6 @@ impl HierNetworkBuilder {
         self
     }
 
-    /// Selects the execution mode: [`ExecMode::Serial`] (default) runs
-    /// every ring on the calling thread; [`ExecMode::Sharded`] advances
-    /// the rings with due work on a worker pool inside each conservative
-    /// window. The mode
-    /// changes wall-clock time only — reports, logs, traces and RNG
-    /// streams are byte-identical across modes (the exec-equivalence
-    /// suite enforces this).
-    #[must_use]
-    pub fn exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec = mode;
-        self
-    }
-
     /// Constructs the hierarchy.
     ///
     /// # Panics
@@ -917,7 +885,7 @@ impl HierNetworkBuilder {
         };
         HierNetwork {
             engine: Engine {
-                core: Core::new(carriers, self.checked, self.recording, self.exec),
+                core: Core::new(carriers, self.checked, self.recording),
                 router: hier,
             },
         }

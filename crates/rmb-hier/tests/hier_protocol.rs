@@ -116,3 +116,26 @@ fn permanent_fault_aborts_name_the_leg() {
     }
     assert!(abort.error.to_string().contains("leg on ring 1"));
 }
+
+/// `take_events` contract: globally ordered by `(tick, ring, seq)` — at
+/// nondecreasing, ring nondecreasing within a tick.
+#[test]
+fn take_events_is_ordered_by_tick_then_ring() {
+    let mut net = HierNetwork::builder(HierConfig::builder(3, 8, 2).build().unwrap())
+        .recording(true)
+        .build();
+    for i in 0..30u32 {
+        let src = NodeAddr::new(i % 3, NodeId::new(1 + i % 7));
+        let dst = NodeAddr::new((i + 1) % 3, NodeId::new(1 + (i + 3) % 7));
+        net.submit(HierMessageSpec::new(src, dst, 4).at(u64::from(i)))
+            .unwrap();
+    }
+    net.run_to_quiescence(100_000);
+    let events = net.take_events();
+    assert!(!events.is_empty(), "bridge traffic must trace");
+    for w in events.windows(2) {
+        let a = (w[0].at, w[0].node);
+        let b = (w[1].at, w[1].node);
+        assert!(a <= b, "events out of (tick, ring) order: {w:?}");
+    }
+}

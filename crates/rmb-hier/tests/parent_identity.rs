@@ -10,18 +10,17 @@
 //! on the right tick. Most scenarios bound leg retries to produce aborts.
 //! Half run `run_to_quiescence` (twice, the first call cut by a tick
 //! budget), half a `tick()` loop; both submit a second batch mid-run,
-//! half of it dated in the past. Some run sharded.
+//! half of it dated in the past.
 //!
-//! Unchecked serial carriers replay memoised lone circuits instead of
-//! ticking them; checked carriers and sharded ones never do. Every
-//! scenario is therefore also rerun with `checked` flipped, which must
-//! reproduce the same pins, and the replays are counted to show that the
-//! pins cover them.
+//! Unchecked carriers replay memoised lone circuits instead of ticking
+//! them; checked carriers never do. Every scenario is therefore also
+//! rerun with `checked` flipped, which must reproduce the same pins, and
+//! the replays are counted to show that the pins cover them.
 
 use rmb_core::SchedulerMode;
 use rmb_hier::{HierNetwork, HierReport};
 use rmb_sim::SimRng;
-use rmb_types::{ExecMode, HierConfig, HierMessageSpec, NodeId, StatsReport};
+use rmb_types::{HierConfig, HierMessageSpec, NodeId, StatsReport};
 use rmb_workloads::{FaultScenario, LocalityTraffic};
 use std::fmt::Write;
 
@@ -39,7 +38,6 @@ struct Case {
     count: usize,
     spread: u64,
     tick_loop: bool,
-    exec: ExecMode,
     scheduler: SchedulerMode,
     checked: bool,
     seed: u64,
@@ -98,11 +96,6 @@ fn case(i: u64) -> Case {
             (false, false) => pick(&mut rng, 200, 2_500),
         },
         tick_loop: i % 2 == 1,
-        exec: if i % 6 == 2 || i % 6 == 3 {
-            ExecMode::Sharded(2)
-        } else {
-            ExecMode::Serial
-        },
         scheduler: if i % 7 == 5 {
             SchedulerMode::DenseSweep
         } else {
@@ -180,7 +173,6 @@ fn observe(i: u64, flip: bool) -> (u64, Vec<f64>, u64) {
         .recording(true)
         .checked(c.checked)
         .scheduler(c.scheduler)
-        .exec_mode(c.exec)
         .fault_seed(c.seed);
     if c.retry_budget {
         builder = builder.leg_max_retries(4);
@@ -296,9 +288,9 @@ fn hierarchy_reproduces_the_pinned_scenarios() {
 
 /// Flipping `checked` turns lone-circuit replay off in the scenarios that
 /// had it and on in those that did not; the pins must not move. Only
-/// unchecked serial carriers replay, and most of the scenarios that run
-/// them to quiescence do (a `tick()` loop catches every carrier up on
-/// every tick, so it leaves nothing to replay).
+/// unchecked carriers replay, and most of the scenarios that run them to
+/// quiescence do (a `tick()` loop catches every carrier up on every tick,
+/// so it leaves nothing to replay).
 #[test]
 fn checked_flip_reproduces_the_pinned_scenarios() {
     let plain = reproduce(false);
@@ -306,12 +298,11 @@ fn checked_flip_reproduces_the_pinned_scenarios() {
     let (mut candidates, mut replaying) = (0, 0);
     for i in 0..SCENARIOS {
         let c = case(i);
-        let serial = !c.exec.is_sharded();
         for (checked, jumped) in [
             (c.checked, plain[i as usize]),
             (!c.checked, flipped[i as usize]),
         ] {
-            if checked || !serial {
+            if checked {
                 assert_eq!(jumped, 0, "scenario {i} (checked {checked}) replayed");
             } else if !c.tick_loop {
                 candidates += 1;
@@ -321,7 +312,7 @@ fn checked_flip_reproduces_the_pinned_scenarios() {
     }
     assert!(
         2 * replaying >= candidates,
-        "{replaying} of {candidates} unchecked serial runs replayed"
+        "{replaying} of {candidates} unchecked runs replayed"
     );
 }
 

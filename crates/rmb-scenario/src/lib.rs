@@ -71,7 +71,7 @@ pub mod toml;
 
 pub use run::{run_scenario, RecordedTrace, ScenarioOutcome};
 pub use schema::{
-    parse_scenario, Admission, Engine, Exec, FaultKindSpec, FaultSpec, Feasibility, Hotspot,
-    Retention, RingSel, Scenario, Scheduler, ServeOptions, Topology, Workload,
+    parse_scenario, Admission, Engine, FaultKindSpec, FaultSpec, Feasibility, Hotspot, Retention,
+    RingSel, Scenario, Scheduler, ServeOptions, Topology, Workload,
 };
 pub use toml::ScenarioError;

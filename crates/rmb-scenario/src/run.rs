@@ -10,7 +10,7 @@
 //! exactly.
 
 use crate::schema::{
-    Admission, Engine, Exec, Feasibility, Retention, RingSel, Scenario, Scheduler, ServeOptions,
+    Admission, Engine, Feasibility, Retention, RingSel, Scenario, Scheduler, ServeOptions,
     Topology, Workload,
 };
 use crate::toml::ScenarioError;
@@ -25,7 +25,7 @@ use rmb_serve::{
 use rmb_sim::SimRng;
 use rmb_types::json::escape;
 use rmb_types::{
-    ExecMode, FaultPlan, HierConfig, LatencySummary, MessageSpec, NodeId, RmbConfig, StatsReport,
+    FaultPlan, HierConfig, LatencySummary, MessageSpec, NodeId, RmbConfig, StatsReport,
 };
 use rmb_workloads::{
     all_to_all, decode_trace, encode_trace, nearest_neighbour, BurstyStream, ExchangeStream,
@@ -202,13 +202,6 @@ fn scheduler_mode(e: &Engine) -> SchedulerMode {
     }
 }
 
-fn exec_mode(e: &Engine) -> ExecMode {
-    match e.exec {
-        Exec::Serial => ExecMode::Serial,
-        Exec::Sharded(t) => ExecMode::Sharded(t as usize),
-    }
-}
-
 /// Flat-ring fault plan: every fault (validation guarantees `ring` is
 /// absent on flat scenarios).
 fn flat_fault_plan(s: &Scenario) -> FaultPlan {
@@ -280,7 +273,6 @@ fn build_hier(s: &Scenario) -> Result<HierNetwork, ScenarioError> {
     let cfg = cb.build().map_err(external)?;
     let mut b = HierNetwork::builder(cfg)
         .scheduler(scheduler_mode(&s.engine))
-        .exec_mode(exec_mode(&s.engine))
         .checked(s.engine.checked);
     if let Some(r) = s.engine.max_retries {
         b = b.leg_max_retries(r);
@@ -408,7 +400,7 @@ fn run_batch(
             net.submit_all(msgs).map_err(external)?;
             net.run_to_quiescence(s.max_ticks);
             // Emit the untimed report: same counters, no wall-clock, so
-            // rows stay byte-stable across hosts and exec modes.
+            // rows stay byte-stable across hosts and scheduler modes.
             Ok((net.report().to_json_object(), None))
         }
         Topology::Grid { rows, cols, buses } => {

@@ -24,7 +24,7 @@ pub struct Scenario {
     pub max_ticks: u64,
     /// The simulated network.
     pub topology: Topology,
-    /// Engine options (scheduler / exec / feasibility / retention).
+    /// Engine options (scheduler / feasibility / retention).
     pub engine: Engine,
     /// What traffic to offer.
     pub workload: Workload,
@@ -150,16 +150,6 @@ pub enum Scheduler {
     Dense,
 }
 
-/// Execution mode of the hierarchy engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Exec {
-    /// All carriers advance on the calling thread.
-    #[default]
-    Serial,
-    /// Carriers advance on a shard pool with this many threads (>= 2).
-    Sharded(u32),
-}
-
 /// Path-feasibility kernel of the flat ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Feasibility {
@@ -187,8 +177,6 @@ pub enum Retention {
 pub struct Engine {
     /// Scheduler choice.
     pub scheduler: Scheduler,
-    /// Execution mode (hierarchy only).
-    pub exec: Exec,
     /// Feasibility kernel (flat ring only).
     pub feasibility: Feasibility,
     /// Delivered-log retention (flat ring only).
@@ -1023,62 +1011,6 @@ fn decode_engine(table: &TomlTable, topology: &Topology) -> Result<Engine, Scena
         },
     };
 
-    let exec_choice = sec.opt_str("exec")?;
-    let threads = sec.opt_u32("threads")?;
-    let exec = match exec_choice {
-        None => {
-            if let Some((_, line)) = threads {
-                return Err(sec.range_err(
-                    "threads",
-                    line,
-                    "only meaningful with `exec = \"sharded\"`",
-                ));
-            }
-            Exec::Serial
-        }
-        Some((s, line)) => match s.as_str() {
-            "serial" => {
-                if let Some((_, tl)) = threads {
-                    return Err(sec.range_err(
-                        "threads",
-                        tl,
-                        "only meaningful with `exec = \"sharded\"`",
-                    ));
-                }
-                Exec::Serial
-            }
-            "sharded" => {
-                if !is_hier {
-                    return Err(sec.range_err(
-                        "exec",
-                        line,
-                        "sharded execution requires the hier topology",
-                    ));
-                }
-                match threads {
-                    Some((t, _)) if t >= 2 => Exec::Sharded(t),
-                    Some((_, tl)) => {
-                        return Err(sec.range_err("threads", tl, "must be at least 2"))
-                    }
-                    None => {
-                        return Err(sec.range_err(
-                            "exec",
-                            line,
-                            "sharded execution needs a `threads` key (>= 2)",
-                        ))
-                    }
-                }
-            }
-            other => {
-                return Err(sec.range_err(
-                    "exec",
-                    line,
-                    &format!("unknown exec mode `{other}` (expected serial or sharded)"),
-                ))
-            }
-        },
-    };
-
     let feasibility = match sec.opt_str("feasibility")? {
         None => Feasibility::Bitmap,
         Some((s, line)) => {
@@ -1177,7 +1109,6 @@ fn decode_engine(table: &TomlTable, topology: &Topology) -> Result<Engine, Scena
 
     Ok(Engine {
         scheduler,
-        exec,
         feasibility,
         retention,
         max_retries,
@@ -1637,10 +1568,6 @@ impl Scenario {
             out.push_str("\n[engine]\n");
             if self.engine.scheduler == Scheduler::Dense {
                 out.push_str("scheduler = \"dense\"\n");
-            }
-            if let Exec::Sharded(t) = self.engine.exec {
-                out.push_str("exec = \"sharded\"\n");
-                let _ = writeln!(out, "threads = {t}");
             }
             if self.engine.feasibility == Feasibility::SlabWalk {
                 out.push_str("feasibility = \"slab-walk\"\n");

@@ -1,10 +1,10 @@
 //! Mode-equivalence: one scenario, one seed, byte-identical rows no
-//! matter which scheduler or execution mode runs it. The engines promise
-//! semantic equivalence across their modes; the scenario layer's canonical
-//! row (wall-clock scrubbed) is where that promise becomes checkable as
-//! plain byte equality.
+//! matter which scheduler runs it. The engines promise semantic
+//! equivalence across their modes; the scenario layer's canonical row
+//! (wall-clock scrubbed) is where that promise becomes checkable as plain
+//! byte equality.
 
-use rmb_scenario::{parse_scenario, run_scenario, Exec, Scenario, Scheduler};
+use rmb_scenario::{parse_scenario, run_scenario, Scenario, Scheduler};
 use std::path::Path;
 
 const FLAT: &str = r#"
@@ -51,22 +51,11 @@ fn flat_rows_are_identical_across_scheduler_modes() {
 }
 
 #[test]
-fn hier_rows_are_identical_across_scheduler_and_exec_modes() {
-    let base = parse_scenario(HIER).unwrap();
-    let reference = row(&base);
-
-    let mut dense = base.clone();
+fn hier_rows_are_identical_across_scheduler_modes() {
+    let event = parse_scenario(HIER).unwrap();
+    let mut dense = event.clone();
     dense.engine.scheduler = Scheduler::Dense;
-    assert_eq!(reference, row(&dense), "dense sweep diverged");
-
-    let mut sharded = base.clone();
-    sharded.engine.exec = Exec::Sharded(2);
-    assert_eq!(reference, row(&sharded), "sharded execution diverged");
-
-    let mut both = base;
-    both.engine.scheduler = Scheduler::Dense;
-    both.engine.exec = Exec::Sharded(2);
-    assert_eq!(reference, row(&both), "dense + sharded diverged");
+    assert_eq!(row(&event), row(&dense), "dense sweep diverged");
 }
 
 #[test]

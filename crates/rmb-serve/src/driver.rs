@@ -110,8 +110,7 @@ impl ServeConfig {
 ///
 /// Equality ignores [`perf`](Self::perf): wall-clock measurement is host
 /// metadata, and two runs of the same seed must compare equal regardless
-/// of how fast the host happened to be (or how many threads a hierarchy
-/// target ran on).
+/// of how fast the host happened to be.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
     /// Target topology label.

@@ -98,8 +98,8 @@ pub trait ServeTarget {
         false
     }
 
-    /// Worker threads the engine advances on (1 unless the target wraps a
-    /// sharded engine). Reported in [`crate::ServeReport`]'s perf record.
+    /// Worker threads the engine advances on (1 for every target in this
+    /// crate). Reported in [`crate::ServeReport`]'s perf record.
     fn threads(&self) -> usize {
         1
     }
@@ -330,10 +330,6 @@ impl ServeTarget for HierTarget {
     fn refusals(&self) -> u64 {
         let r = self.net.report();
         r.bridge_refusals + r.leg_refusals
-    }
-
-    fn threads(&self) -> usize {
-        self.net.exec_mode().threads()
     }
 }
 

@@ -188,39 +188,6 @@ fn hier_target_serves_and_accounts() {
 }
 
 #[test]
-fn sharded_hier_target_serves_identically_to_serial() {
-    // Open-loop serving over the hierarchy must be execution-mode
-    // invariant too: the driver's arrival clock, admission decisions and
-    // sketches all key off simulation state, which the sharded engine
-    // reproduces byte for byte.
-    use rmb_types::ExecMode;
-    let run = |mode: ExecMode| {
-        let cfg = HierConfig::builder(4, 5, 2)
-            .head_timeout(80)
-            .retry_backoff(5)
-            .build()
-            .unwrap();
-        let net = HierNetwork::builder(cfg).exec_mode(mode).build();
-        let mut target = HierTarget::new(net);
-        let cfg = ServeConfig::sweep(0.003, 6_000, 33);
-        serve(&mut target, &mut PoissonStream::new(0.003), &cfg)
-    };
-    let serial = run(ExecMode::Serial);
-    for threads in [2, 4] {
-        let sharded = run(ExecMode::Sharded(threads));
-        assert_eq!(serial, sharded, "sharded({threads})");
-        assert_eq!(
-            untimed(&serial).to_json_object(),
-            untimed(&sharded).to_json_object(),
-            "sharded({threads}) JSON row"
-        );
-        // The perf record names the pool size the target ran on.
-        assert_eq!(sharded.perf.unwrap().threads as usize, threads);
-    }
-    assert!(serial.delivered > 0 && serial.loss_accounted());
-}
-
-#[test]
 fn wormhole_target_serves_and_accounts() {
     let mut target = WormholeTarget::torus(4, 2); // 16 nodes
     assert_eq!(target.node_count(), 16);

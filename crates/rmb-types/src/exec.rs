@@ -1,58 +1,9 @@
-//! Execution-mode vocabulary for engines that can run their state machine
-//! on more than one core, plus the wall-clock measurement record that
-//! makes speedup a first-class experiment output.
+//! The wall-clock measurement record that makes run speed a first-class
+//! experiment output.
 //!
-//! The types live here (not in the engine crates) because the experiment
-//! layer needs to name them without depending on any particular engine:
-//! `rmb-bench` threads an [`ExecMode`] from the CLI down to `rmb-hier`,
-//! and every [`StatsReport`](crate::StatsReport) row can carry a
-//! [`PerfStats`] regardless of which engine produced it.
-
-/// How an engine advances its simulation clock.
-///
-/// The contract every engine offering this option must honour: **the mode
-/// changes wall-clock time only**. Reports, delivery logs, trace events
-/// and RNG draws are byte-identical across modes — `Serial` is the oracle
-/// and `Sharded` must match it bit for bit (the scheduler-equivalence
-/// suites enforce this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExecMode {
-    /// Single-threaded reference engine: every shard advanced in index
-    /// order on the calling thread.
-    #[default]
-    Serial,
-    /// Conservative parallel engine: shards advance concurrently on a
-    /// worker pool of the given size inside each synchronisation window.
-    /// A count of 0 or 1 is accepted and behaves like a pool of one
-    /// worker (useful for exercising the parallel code path
-    /// deterministically under test).
-    Sharded(usize),
-}
-
-impl ExecMode {
-    /// Worker threads this mode uses (1 for `Serial`; at least 1 for
-    /// `Sharded`).
-    pub fn threads(self) -> usize {
-        match self {
-            ExecMode::Serial => 1,
-            ExecMode::Sharded(n) => n.max(1),
-        }
-    }
-
-    /// `true` when this mode runs on the shard pool.
-    pub const fn is_sharded(self) -> bool {
-        matches!(self, ExecMode::Sharded(_))
-    }
-}
-
-impl std::fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecMode::Serial => write!(f, "serial"),
-            ExecMode::Sharded(n) => write!(f, "sharded({})", n.max(&1)),
-        }
-    }
-}
+//! It lives here (not in the engine crates) so that every
+//! [`StatsReport`](crate::StatsReport) row can carry a [`PerfStats`]
+//! regardless of which engine produced it.
 
 /// Wall-clock measurement of one run: how fast the simulation advanced in
 /// host time.
@@ -60,9 +11,8 @@ impl std::fmt::Display for ExecMode {
 /// This is *measurement metadata*, not simulation state — two runs of the
 /// same workload on hosts of different speeds produce different
 /// `PerfStats` but identical simulation results. Report types therefore
-/// exclude it from their equality comparisons (a `HierReport` from a
-/// sharded run must compare equal to the serial oracle's even though
-/// their wall clocks differ).
+/// exclude it from their equality comparisons: two runs of the same
+/// workload compare equal even though their wall clocks differ.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfStats {
     /// Wall-clock milliseconds the run took.
@@ -91,18 +41,6 @@ impl PerfStats {
 mod tests {
     use super::*;
     use std::time::Duration;
-
-    #[test]
-    fn exec_mode_thread_counts() {
-        assert_eq!(ExecMode::Serial.threads(), 1);
-        assert_eq!(ExecMode::Sharded(4).threads(), 4);
-        assert_eq!(ExecMode::Sharded(0).threads(), 1, "clamped to one worker");
-        assert!(!ExecMode::Serial.is_sharded());
-        assert!(ExecMode::Sharded(2).is_sharded());
-        assert_eq!(ExecMode::default(), ExecMode::Serial);
-        assert_eq!(ExecMode::Sharded(8).to_string(), "sharded(8)");
-        assert_eq!(ExecMode::Serial.to_string(), "serial");
-    }
 
     #[test]
     fn perf_stats_measure() {

@@ -37,7 +37,7 @@ pub mod report;
 
 pub use config::{AckMode, InsertionPolicy, NodeConfig, RmbConfig, RmbConfigBuilder};
 pub use error::{ConfigError, ProtocolError};
-pub use exec::{ExecMode, PerfStats};
+pub use exec::PerfStats;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanError};
 pub use flit::{Ack, AckKind, Flit, FlitKind, FlitPayload};
 pub use hier::{HierConfig, HierConfigBuilder, HierConfigError, HierLeg, HierMessageSpec, NodeAddr};

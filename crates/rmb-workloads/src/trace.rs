@@ -5,7 +5,7 @@
 //! run delivered, sorted into the canonical trace order — by
 //! `(inject_at, source, destination, data_flits)` — so the same delivered
 //! *set* always encodes to the same bytes regardless of completion order,
-//! engine or execution mode. Replaying the trace through another scenario
+//! engine or scheduler. Replaying the trace through another scenario
 //! re-offers exactly those messages; a replay run that delivers everything
 //! proves the two runs moved an identical message set.
 

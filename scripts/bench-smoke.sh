@@ -20,9 +20,6 @@ cargo clippy -p rmb-types -p rmb-workloads -p rmb-sim -p rmb-core -p rmb-hier \
 echo "== scheduler equivalence (event engine vs dense-sweep oracle) =="
 cargo test -q -p rmb-core --test scheduler_equivalence
 
-echo "== exec-mode equivalence (sharded hierarchy engine vs serial oracle) =="
-cargo test -q -p rmb-hier --test exec_equivalence
-
 echo "== lone-circuit replay equivalence (replayed vs ticked lone circuits) =="
 cargo test -q -p rmb-core --test properties lone_circuit
 cargo test -q -p rmb-hier --test parent_identity --test lone_legs
@@ -141,39 +138,34 @@ if grep -q '"stalled": true' <<<"$hier_json"; then
   exit 1
 fi
 
-echo "== sharded hierarchy grid (oracle match + core-aware perf gates) =="
-# The hier-shard experiment asserts in-process that every Sharded(t)
-# cell's report equals the serial oracle's; the emitted rows are
-# re-checked here. The two perf gates are core-aware because wall-clock
-# scaling is a property of the host, not the code: on a box with fewer
-# than 4 CPUs the sharded rows measure oversubscription (stripes
-# time-slicing one core through a condvar per 1-tick window), so the
-# >= 2x speedup assertion would fail on any implementation, correct or
-# not. There the script still runs the full machinery at 2 threads and
-# skips the speedup gate loudly.
-cores="$(nproc)"
-if [[ "$cores" -ge 4 ]]; then shard_threads=4; else shard_threads=2; fi
-shard_json="$(cargo run --release -q -p rmb-bench --bin experiments -- \
-  --exp hier-shard --threads "$shard_threads" --json)"
-grep -q '"experiment": "hier-shard"' <<<"$shard_json"
-if grep -q '"matches_serial": false' <<<"$shard_json"; then
-  echo "sharded engine diverged from the serial oracle" >&2
+echo "== hierarchy throughput gate (64-ring cell vs BENCH_PR9.json) =="
+# The 64-ring high-locality cell's sim_ticks_per_sec against the serial
+# row recorded in BENCH_PR9.json (whose other rows are the deleted sharded
+# engine's). The cell draws the same traffic as that row, so its tick
+# count must match exactly. Wall-clock throughput is noisier than the
+# nanosecond benches above, so the slack factor is wider (default 1.5 =
+# tolerate a 33% dip) and overridable for slow machines.
+tp_json="$(cargo run --release -q -p rmb-bench --bin experiments -- \
+  --exp hier-throughput --json)"
+grep -q '"experiment": "hier-throughput"' <<<"$tp_json"
+cell_field() { # FIELD [FILE]: FIELD of the first serial 64-ring, locality-0.9 row
+  awk -F'"'"$1"'": ' '
+    /"rings": 64,/ && /"locality": 0.9,/ && (!/"threads"/ || /"threads": 1,/) && NF > 1 {
+      split($2, a, ","); print a[1]; exit
+    }
+  ' "${2:-/dev/stdin}"
+}
+measured="$(cell_field sim_ticks_per_sec <<<"$tp_json")"
+baseline="$(cell_field sim_ticks_per_sec BENCH_PR9.json)"
+measured_ticks="$(cell_field ticks <<<"$tp_json")"
+baseline_ticks="$(cell_field ticks BENCH_PR9.json)"
+if [[ -z "$baseline" || -z "$measured" || -z "$measured_ticks" || -z "$baseline_ticks" ]]; then
+  echo "hier-throughput gate: could not extract the 64-ring row" >&2
   exit 1
 fi
-
-# Hier-throughput regression gate: the serial 64-ring high-locality
-# cell's sim_ticks_per_sec against the recorded BENCH_PR9.json row.
-# Wall-clock throughput is noisier than the nanosecond benches above, so
-# the slack factor is wider (default 1.5 = tolerate a 33% dip) and
-# overridable for slow machines.
-measured="$(awk -F'"sim_ticks_per_sec": ' '
-  /"threads": 1,/ && /"rings": 64,/ && /"locality": 0.9,/ && NF > 1 { split($2, a, ","); print a[1]; exit }
-' <<<"$shard_json")"
-baseline="$(awk -F'"sim_ticks_per_sec": ' '
-  /"threads": 1,/ && /"rings": 64,/ && /"locality": 0.9,/ && NF > 1 { split($2, a, ","); print a[1]; exit }
-' BENCH_PR9.json)"
-if [[ -z "$baseline" || -z "$measured" ]]; then
-  echo "hier-throughput gate: could not extract serial 64-ring sim_ticks_per_sec" >&2
+if [[ "$measured_ticks" != "$baseline_ticks" ]]; then
+  echo "hier-throughput gate: the cell ran $measured_ticks ticks, BENCH_PR9.json's row" \
+    "$baseline_ticks; it no longer draws the recorded traffic" >&2
   exit 1
 fi
 awk -v m="$measured" -v b="$baseline" -v f="${RMB_HIER_GATE_FACTOR:-1.5}" 'BEGIN {
@@ -182,25 +174,6 @@ awk -v m="$measured" -v b="$baseline" -v f="${RMB_HIER_GATE_FACTOR:-1.5}" 'BEGIN
     m, b, floor
   exit (m < floor) ? 1 : 0
 }' || { echo "hier-throughput regression gate FAILED" >&2; exit 1; }
-
-# Speedup gate: >= RMB_SPEEDUP_MIN (default 2.0) at 4 threads on the
-# 64-ring high-locality cell — only meaningful with cores to scale onto.
-if [[ "$cores" -ge 4 ]]; then
-  speedup="$(awk -F'"speedup": ' '
-    /"threads": '"$shard_threads"',/ && /"rings": 64,/ && /"locality": 0.9,/ && NF > 1 { split($2, a, ","); print a[1]; exit }
-  ' <<<"$shard_json")"
-  if [[ -z "$speedup" ]]; then
-    echo "speedup gate: could not extract the ${shard_threads}-thread 64-ring row" >&2
-    exit 1
-  fi
-  awk -v s="$speedup" -v min="${RMB_SPEEDUP_MIN:-2.0}" -v t="$shard_threads" 'BEGIN {
-    printf "sharded speedup at %d threads (64 rings, locality 0.9): %.2fx (floor %.1fx)\n", t, s, min
-    exit (s < min) ? 1 : 0
-  }' || { echo "speedup gate FAILED" >&2; exit 1; }
-else
-  echo "speedup gate SKIPPED: host has $cores CPU(s) (< 4); sharded rows measure" \
-    "oversubscription, not scaling — see the host caveat in BENCH_PR9.json"
-fi
 
 echo "== open-loop serving soak (short, counters-only retention) =="
 # A scaled-down version of the BENCH_PR8.json soak: same topology, rate
