@@ -54,11 +54,17 @@ impl RmbLattice {
     ///
     /// # Panics
     ///
-    /// Panics if fewer than two dimensions are given or any dimension is
-    /// below 2.
+    /// Panics if fewer than two dimensions are given, any dimension is
+    /// below 2, or the lattice has more than `u32::MAX` nodes.
     pub fn new(dims: Vec<u32>, ring_cfg: RmbConfig) -> Self {
         assert!(dims.len() >= 2, "a lattice needs at least two dimensions");
         assert!(dims.iter().all(|&d| d >= 2), "each dimension needs >= 2 nodes");
+        assert!(
+            dims.iter()
+                .try_fold(1u32, |n, &d| n.checked_mul(d))
+                .is_some(),
+            "a lattice has at most u32::MAX nodes"
+        );
         let cfgs = dims
             .iter()
             .map(|&d| {
@@ -344,5 +350,11 @@ mod tests {
     fn rejects_degenerate_grids() {
         // A 1 x 8 grid is just a ring.
         let _ = RmbLattice::new(vec![8, 1], cfg(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most u32::MAX nodes")]
+    fn rejects_lattices_whose_node_count_overflows() {
+        let _ = RmbLattice::new(vec![65_536, 65_536], cfg(2));
     }
 }

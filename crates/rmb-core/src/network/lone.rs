@@ -34,10 +34,13 @@ use crate::virtual_bus::BusState;
 use rmb_sim::Tick;
 use rmb_types::{BusIndex, RmbConfig, VirtualBusId};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// What fixes a lone circuit's life.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// What fixes a lone circuit's life. Equality compares the whole
+/// configuration; the hash reads only the fields that vary between the
+/// circuits of one run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Key {
     cfg: RmbConfig,
     span: u32,
@@ -48,6 +51,12 @@ struct Key {
     /// assessment; on odd rings the pattern flips at the cut, so the class
     /// is the source node and the tick parity.
     class: u32,
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self.cfg.nodes().get(), self.span, self.flits, self.class).hash(state);
+    }
 }
 
 /// One key's life, as `tick()` produced it the first time the key ran
@@ -417,7 +426,12 @@ impl RmbNetwork {
     /// When the next segment does not and the window still needs ticks,
     /// drops the deferral; the ring then ticks on from its own clock.
     pub(super) fn replay_lone(&mut self, until: u64, memo: &mut LoneMemo) {
-        let Some(mut lone) = self.aside.lone.take() else {
+        // Anything but a deferral stays where it is.
+        let Some(mut lone) = self
+            .aside
+            .lone
+            .take_if(|lone| matches!(lone.watch, Watch::Deferred { .. }))
+        else {
             return;
         };
         while matches!(lone.watch, Watch::Deferred { .. }) {

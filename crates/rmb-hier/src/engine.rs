@@ -11,7 +11,8 @@
 //! - per-carrier wakes: a carrier advances only on ticks it has work
 //!   ([`RmbNetwork::next_wake`]); its skipped ticks change nothing but its
 //!   clock, so it is caught up with [`RmbNetwork::run_window`] when it is
-//!   next touched;
+//!   next touched. A wake index finds the due carriers, so a step costs
+//!   what is due, not what exists;
 //! - the lone-circuit memo every carrier shares ([`LoneMemo`]): a leg
 //!   ticked into an otherwise empty carrier whose life the memo holds
 //!   wakes its carrier only at its delivery, and the carrier replays the
@@ -27,7 +28,7 @@ use rmb_sim::trace::{TraceEvent, TraceKind, TraceSink, VecSink};
 use rmb_sim::Tick;
 use rmb_types::{AbortedMessage, DeliveredMessage, MessageSpec, NodeId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// How messages cross a composition of carrier rings. The engine calls
 /// these hooks; a router never ticks a ring, scans a log or judges a
@@ -77,13 +78,32 @@ pub(crate) struct Core {
     /// (`u64::MAX` when nothing is scheduled). A carrier is advanced only
     /// once its wake has come, so its own clock may lag `now`.
     wake: Vec<u64>,
+    /// The wake index: every finite wake has an entry here. `next` holds
+    /// the carriers due on the coming step (busy carriers, and carriers a
+    /// leg was just launched into), ascending and each once, so a busy
+    /// carrier never touches the heap; `later` holds the other wakes,
+    /// keyed `(tick, carrier)`. An entry that no longer matches its
+    /// carrier's wake is stale and is dropped when reached; the carrier's
+    /// current wake has its own entry.
+    next: Vec<u32>,
+    later: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Reused buffer for the carriers one step advances.
+    stepping: Vec<u32>,
+    /// Per carrier, [`RmbNetwork::deferred_until`] as of the engine's
+    /// last touch (0 when nothing is deferred). Only a touch (a launch, an
+    /// advance or a catch-up) starts or ends a deferral, so the record is
+    /// exact.
+    deferred: Vec<u64>,
+    /// The carriers whose record may name a teardown still to come, each
+    /// once (`listed`); dropped when the idle query finds it passed.
+    deferring: Vec<u32>,
+    listed: Vec<bool>,
     /// Messages waiting to launch a leg, keyed `(due tick, id)`.
     waiting: BinaryHeap<Reverse<(u64, u64)>>,
     /// Reused buffer for the ids due this tick.
     due: Vec<u64>,
-    /// `(carrier, ring-local request id) → message id` for every leg in
-    /// flight.
-    in_flight: HashMap<(u32, u64), u64>,
+    /// Per carrier, the message of every leg in flight.
+    legs: Vec<Legs>,
     /// The lives of lone circuits, shared by every carrier; created
     /// with the engine and dropped with it.
     pub(crate) memo: LoneMemo,
@@ -98,28 +118,88 @@ pub(crate) struct Core {
     recorder: Option<VecSink>,
 }
 
+/// Inserts `c` into the ascending list `list` unless it is there. Appends
+/// in ascending order, the common case, cost one comparison.
+fn insert_sorted(list: &mut Vec<u32>, c: u32) {
+    match list.last() {
+        Some(&last) if last >= c => {
+            if let Err(i) = list.binary_search(&c) {
+                list.insert(i, c);
+            }
+        }
+        _ => list.push(c),
+    }
+}
+
+/// One carrier's legs from its oldest leg in flight on, by ring-local
+/// request id. The ids are dense, so a leg is found by offset. A landed
+/// leg leaves a hole until every older one has landed too, so the window
+/// holds at most the legs launched during its oldest leg's life.
+#[derive(Debug, Default)]
+struct Legs {
+    /// Request id of `ids[0]`.
+    base: u64,
+    /// Message ids; [`Legs::LANDED`] marks a hole.
+    ids: VecDeque<u64>,
+}
+
+impl Legs {
+    const LANDED: u64 = u64::MAX;
+
+    fn launch(&mut self, rid: u64, id: u64) {
+        assert_eq!(
+            rid,
+            self.base + self.ids.len() as u64,
+            "every carrier request is a leg the engine launched"
+        );
+        self.ids.push_back(id);
+    }
+
+    /// Retires the leg of request `rid`, and returns its message.
+    fn land(&mut self, rid: u64) -> u64 {
+        let slot = rid
+            .checked_sub(self.base)
+            .and_then(|i| self.ids.get_mut(i as usize))
+            .filter(|id| **id != Self::LANDED)
+            .expect("every carrier request belongs to a tracked leg");
+        let id = std::mem::replace(slot, Self::LANDED);
+        while self.ids.front() == Some(&Self::LANDED) {
+            self.ids.pop_front();
+            self.base += 1;
+        }
+        id
+    }
+}
+
 impl Core {
     pub(crate) fn new(carriers: Vec<RmbNetwork>, checked: bool, recording: bool) -> Self {
-        // Fault plans are the only work a fresh carrier has scheduled.
-        let wake = carriers
-            .iter()
-            .map(|net| net.next_wake().unwrap_or(u64::MAX))
-            .collect();
-        Core {
+        let n = carriers.len();
+        let mut core = Core {
             memo: LoneMemo::new(),
-            dcur: vec![0; carriers.len()],
-            acur: vec![0; carriers.len()],
+            dcur: vec![0; n],
+            acur: vec![0; n],
             carriers,
-            wake,
+            wake: vec![u64::MAX; n],
+            next: Vec::new(),
+            later: BinaryHeap::new(),
+            stepping: Vec::new(),
+            deferred: vec![0; n],
+            deferring: Vec::new(),
+            listed: vec![false; n],
             waiting: BinaryHeap::new(),
             due: Vec::new(),
-            in_flight: HashMap::new(),
+            legs: (0..n).map(|_| Legs::default()).collect(),
             now: 0,
             live: 0,
             last_progress: 0,
             checked,
             recorder: recording.then(VecSink::new),
+        };
+        // Fault plans are the only work a fresh carrier has scheduled.
+        for c in 0..n {
+            core.rewake(c, 0);
         }
+        core
     }
 
     /// Admits a new message `id`, due to launch its first leg at `at`.
@@ -143,17 +223,17 @@ impl Core {
         let rid = net.submit(leg).expect("leg spec is valid by construction");
         // The submission ends any deferral: the carrier ticks from now.
         self.wake[c as usize] = self.now;
-        self.in_flight.insert((c, rid.get()), id);
+        insert_sorted(&mut self.next, c);
+        self.deferred[c as usize] = 0;
+        self.legs[c as usize].launch(rid.get(), id);
         self.last_progress = self.now;
     }
 
-    /// Retires the in-flight entry of the leg carrier `c` just finished as
-    /// request `rid`, and returns its message.
+    /// Retires the leg carrier `c` just finished as request `rid`, and
+    /// returns its message.
     fn landed(&mut self, c: u32, rid: u64) -> u64 {
         self.last_progress = self.now;
-        self.in_flight
-            .remove(&(c, rid))
-            .expect("every carrier request belongs to a tracked leg")
+        self.legs[c as usize].land(rid)
     }
 
     /// Counts the current tick as progress for the stall detector.
@@ -161,9 +241,103 @@ impl Core {
         self.last_progress = self.now;
     }
 
-    /// Refreshes carrier `c`'s wake after it moved.
-    fn rewake(&mut self, c: usize) {
-        self.wake[c] = self.carriers[c].next_wake().unwrap_or(u64::MAX);
+    /// Refreshes carrier `c`'s wake and deferral record after the engine
+    /// moved it to `soon`, the tick of the coming step, and files a changed
+    /// wake in the index. An advance always changes it: the old wake had
+    /// come, the new one has not. A catch-up that leaves it keeps its entry.
+    fn rewake(&mut self, c: usize, soon: u64) {
+        let wake = self.carriers[c].next_wake().unwrap_or(u64::MAX);
+        // A deferral this touch started wakes the carrier after `soon`:
+        // at its delivery, or at a fault event past its teardown. One it
+        // found is on record.
+        if wake > soon || self.deferred[c] != 0 {
+            self.note_deferral(c);
+        }
+        if wake != self.wake[c] {
+            self.wake[c] = wake;
+            match wake {
+                u64::MAX => {}
+                wake if wake <= soon => insert_sorted(&mut self.next, c as u32),
+                wake => self.later.push(Reverse((wake, c as u32))),
+            }
+        }
+    }
+
+    /// Takes the carriers whose wake has come, in ascending order (the
+    /// memo is shared, so the order carriers advance in is observable),
+    /// and leaves `next` empty for the wakes this step files.
+    fn take_due(&mut self) -> Vec<u32> {
+        let fresh = std::mem::take(&mut self.stepping);
+        let mut due = std::mem::replace(&mut self.next, fresh);
+        while let Some(&Reverse((at, c))) = self.later.peek() {
+            if at > self.now {
+                break;
+            }
+            self.later.pop();
+            if self.wake[c as usize] <= self.now {
+                insert_sorted(&mut due, c);
+            }
+        }
+        if self.checked {
+            let scan: Vec<u32> = (0..self.wake.len() as u32)
+                .filter(|&c| self.wake[c as usize] <= self.now)
+                .collect();
+            assert_eq!(
+                due, scan,
+                "the wake index disagrees with a scan at tick {}",
+                self.now
+            );
+        }
+        due
+    }
+
+    /// The earliest carrier wake, or any that has come (`u64::MAX` when
+    /// none); drops the stale heap entries in front of it.
+    fn first_wake(&mut self) -> u64 {
+        let first = self
+            .next
+            .iter()
+            .map(|&c| self.wake[c as usize])
+            .min()
+            .unwrap_or(u64::MAX);
+        if first <= self.now {
+            return first;
+        }
+        while let Some(&Reverse((at, c))) = self.later.peek() {
+            if self.wake[c as usize] == at {
+                return first.min(at);
+            }
+            self.later.pop();
+        }
+        first
+    }
+
+    /// Records carrier `c`'s deferral after a touch.
+    fn note_deferral(&mut self, c: usize) {
+        let until = self.carriers[c].deferred_until().unwrap_or(0);
+        self.deferred[c] = until;
+        if until != 0 && !self.listed[c] {
+            self.listed[c] = true;
+            self.deferring.push(c as u32);
+        }
+    }
+
+    /// The last tick on which a deferred lone circuit still has work, when
+    /// that is `now` or later; else 0. Earlier ticks tell the run loop
+    /// nothing a 0 does not, so their carriers leave the list.
+    fn deferred_max(&mut self) -> u64 {
+        let (now, deferred, listed) = (self.now, &self.deferred, &mut self.listed);
+        let mut max = 0;
+        self.deferring.retain(|&c| {
+            let until = deferred[c as usize];
+            let ahead = until >= now;
+            listed[c as usize] = ahead;
+            if ahead {
+                max = max.max(until);
+            }
+            ahead
+        });
+        max
     }
 
     pub(crate) fn recording(&self) -> bool {
@@ -257,19 +431,17 @@ impl<R: Router> Engine<R> {
     /// ascending carrier order, then hands their new deliveries and
     /// aborts to the router and refreshes their wakes.
     fn advance(&mut self, until: u64) {
+        let mut due = self.core.take_due();
         let core = &mut self.core;
-        let now = core.now;
-        for (net, &wake) in core.carriers.iter_mut().zip(&core.wake) {
-            if wake <= now {
-                net.run_window(until, &mut core.memo);
-            }
+        for &c in &due {
+            core.carriers[c as usize].run_window(until, &mut core.memo);
         }
-        for c in 0..self.core.carriers.len() {
-            if self.core.wake[c] <= now {
-                self.harvest(c as u32);
-                self.core.rewake(c);
-            }
+        for &c in &due {
+            self.harvest(c);
+            self.core.rewake(c as usize, until);
         }
+        due.clear();
+        self.core.stepping = due;
     }
 
     /// Hands carrier `c`'s new deliveries and aborts to the router. Only
@@ -302,12 +474,12 @@ impl<R: Router> Engine<R> {
         let core = &mut self.core;
         for c in 0..core.carriers.len() {
             core.carriers[c].run_window(core.now, &mut core.memo);
-            core.rewake(c);
+            core.rewake(c, core.now);
         }
     }
 
     /// `true` when some carrier has due work, or a message is due to
-    /// launch a leg this tick.
+    /// launch a leg this tick. A scan, for callers outside the run loop.
     pub(crate) fn has_due_work(&self) -> bool {
         let now = self.core.now;
         self.core.wake.iter().any(|&wake| wake <= now)
@@ -319,24 +491,22 @@ impl<R: Router> Engine<R> {
             || self.router.held().any(|at| at <= now)
     }
 
-    /// The first tick at which something is due: a carrier wake or a
-    /// launch (`u64::MAX` when nothing is scheduled).
-    fn next_event(&self) -> u64 {
-        let waiting = self
-            .core
-            .waiting
-            .peek()
-            .map_or(u64::MAX, |&Reverse((t, _))| t);
-        let held = self.router.held().min().unwrap_or(u64::MAX);
-        self.core
-            .wake
-            .iter()
-            .fold(waiting.min(held), |t, &w| t.min(w))
+    /// The first tick at which something is due: a carrier wake, a launch
+    /// or a held launch (`u64::MAX` when nothing is scheduled). `now` or
+    /// earlier means something is due now.
+    fn next_event(&mut self) -> u64 {
+        let core = &mut self.core;
+        let waiting = core.waiting.peek().map_or(u64::MAX, |&Reverse((t, _))| t);
+        let first = core.first_wake().min(waiting);
+        if first <= core.now {
+            return first;
+        }
+        first.min(self.router.held().min().unwrap_or(u64::MAX))
     }
 
     /// The last tick on which a deferred lone circuit still has work (0
     /// when no carrier defers one): up to it, the tick-by-tick loop finds
-    /// work on every tick.
+    /// work on every tick. A scan; the run loop reads the engine's record.
     pub(crate) fn deferred_until(&self) -> u64 {
         self.core
             .carriers
@@ -344,6 +514,27 @@ impl<R: Router> Engine<R> {
             .filter_map(RmbNetwork::deferred_until)
             .max()
             .unwrap_or(0)
+    }
+
+    /// `(next event, last deferred tick)` when nothing is due now. The
+    /// deferred tick reads 0 once it has passed, which the run loop treats
+    /// the same.
+    fn idle(&mut self) -> Option<(u64, u64)> {
+        let next = self.next_event();
+        if next <= self.core.now {
+            return None;
+        }
+        let busy = self.core.deferred_max();
+        if self.core.checked {
+            let scan = self.deferred_until();
+            let scan = if scan >= self.core.now { scan } else { 0 };
+            assert_eq!(
+                busy, scan,
+                "the deferral record drifted at tick {}",
+                self.core.now
+            );
+        }
+        Some((next, busy))
     }
 
     /// Runs until every message is terminal, the tick budget is spent, or
@@ -363,7 +554,7 @@ impl<R: Router> Engine<R> {
         let mut stalled = false;
         // `(next event, last deferred tick)` while nothing is due; nothing
         // moves while the loop skips ticks, so it stays valid until a step.
-        let mut idle = (!self.has_due_work()).then(|| (self.next_event(), self.deferred_until()));
+        let mut idle = self.idle();
         while self.core.live > 0 {
             if self.core.now >= max_ticks {
                 stalled = true;
@@ -408,8 +599,7 @@ impl<R: Router> Engine<R> {
                 }
                 None => {
                     self.step();
-                    idle =
-                        (!self.has_due_work()).then(|| (self.next_event(), self.deferred_until()));
+                    idle = self.idle();
                     if idle.is_some_and(|(_, busy)| busy < self.core.now) {
                         // Only future launches and backoffs remain; the
                         // clock itself is the progress.
@@ -417,18 +607,22 @@ impl<R: Router> Engine<R> {
                     }
                 }
             }
-            if self
-                .core
-                .now
-                .saturating_sub(self.last_progress(self.core.now))
-                > stall_window
-            {
+            if self.stalled_for(stall_window) {
                 stalled = true;
                 break;
             }
         }
         self.sync_carriers();
         stalled
+    }
+
+    /// `true` once no progress has been seen for more than `window` ticks.
+    /// [`Self::last_progress`] never reads below `core.last_progress`, so
+    /// it is folded only when that cheaper test already fails.
+    fn stalled_for(&self, window: u64) -> bool {
+        let now = self.core.now;
+        now.saturating_sub(self.core.last_progress) > window
+            && now.saturating_sub(self.last_progress(now)) > window
     }
 
     /// The last tick before `now` the stall detector counts as progress.
@@ -446,5 +640,200 @@ impl<R: Router> Engine<R> {
         } else {
             core.last_progress
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rmb_sim::SimRng;
+    use rmb_types::{FaultPlan, RmbConfig};
+
+    /// Messages as chains of legs `(carrier, from, to)`; each further leg
+    /// launches on the tick after the previous one lands.
+    struct Chains {
+        legs: Vec<Vec<(u32, u32, u32)>>,
+        next: Vec<usize>,
+        /// `(message, delivery tick)` of each final leg, in landing order.
+        done: Vec<(u64, u64)>,
+    }
+
+    impl Router for Chains {
+        fn launch(&mut self, core: &mut Core, id: u64) {
+            let i = id as usize;
+            let (c, from, to) = self.legs[i][self.next[i]];
+            self.next[i] += 1;
+            core.launch(id, c, NodeId::new(from), NodeId::new(to), 6);
+        }
+
+        fn delivered(&mut self, core: &mut Core, id: u64, _c: u32, d: &DeliveredMessage) {
+            if self.next[id as usize] < self.legs[id as usize].len() {
+                core.schedule(id, d.delivered_at + 1);
+            } else {
+                core.live -= 1;
+                self.done.push((id, d.delivered_at));
+            }
+        }
+
+        fn aborted(&mut self, core: &mut Core, _id: u64, _c: u32, _a: &AbortedMessage) {
+            core.live -= 1;
+        }
+
+        fn stall_window(&self) -> u64 {
+            10_000
+        }
+
+        const CARRIER_PROGRESS: bool = true;
+    }
+
+    type Msg = (u64, Vec<(u32, u32, u32)>);
+
+    /// A checked engine over one 8-node ring per fault plan. With `replay`
+    /// the carriers are unchecked, so they defer and replay lone legs.
+    fn engine(plans: &[FaultPlan], replay: bool, msgs: &[Msg]) -> Engine<Chains> {
+        let cfg = RmbConfig::builder(8, 2)
+            .head_timeout(64)
+            .retry_backoff(4)
+            .build()
+            .unwrap();
+        let carriers = plans
+            .iter()
+            .map(|plan| {
+                RmbNetwork::builder(cfg)
+                    .fault_plan(plan.clone())
+                    .checked(!replay)
+                    .build()
+            })
+            .collect();
+        let mut engine = Engine {
+            core: Core::new(carriers, true, false),
+            router: Chains {
+                legs: msgs.iter().map(|m| m.1.clone()).collect(),
+                next: vec![0; msgs.len()],
+                done: Vec::new(),
+            },
+        };
+        for (id, (at, _)) in (0u64..).zip(msgs) {
+            engine.core.admit(id, *at);
+        }
+        engine
+    }
+
+    /// Runs `fast` to the end and checks it against the same messages
+    /// ticked on checked carriers; returns the lone legs it replayed.
+    fn agrees_with_ticking(mut fast: Engine<Chains>, plans: &[FaultPlan], msgs: &[Msg]) -> u64 {
+        let mut slow = engine(plans, false, msgs);
+        assert!(!fast.run(1_000_000));
+        assert!(!slow.run(1_000_000));
+        assert_eq!(fast.router.done, slow.router.done);
+        assert_eq!(fast.core.now, slow.core.now);
+        for (f, s) in fast.core.carriers.iter().zip(&slow.core.carriers) {
+            let (mut fr, mut sr) = (f.report(), s.report());
+            assert!((fr.mean_utilization - sr.mean_utilization).abs() < 1e-9);
+            fr.mean_utilization = 0.0;
+            sr.mean_utilization = 0.0;
+            assert_eq!(format!("{fr:?}"), format!("{sr:?}"));
+            assert_eq!(f.delivered_log(), s.delivered_log());
+        }
+        assert_eq!(slow.core.memo.hits(), 0);
+        fast.core.memo.hits()
+    }
+
+    #[test]
+    fn a_launch_and_a_rewake_of_one_carrier_share_a_step() {
+        let plans = vec![FaultPlan::new(); 2];
+        let msgs = [(0, vec![(0, 0, 5)]), (3, vec![(0, 1, 2)])];
+        let mut e = engine(&plans, true, &msgs);
+        while e.core.now < 3 {
+            e.step();
+        }
+        // Carrier 0 streams the first leg: it is filed for the coming
+        // step without touching the heap.
+        assert_eq!(e.core.next, [0]);
+        assert!(e.core.later.is_empty());
+        // The second leg's launch files carrier 0 again, where it already
+        // is. The step advances it once (checked mode asserts the due set
+        // against a scan) and files it once.
+        e.step();
+        assert_eq!(e.core.next, [0]);
+        assert_eq!(e.core.carriers[0].now().get(), 4);
+        agrees_with_ticking(e, &plans, &msgs);
+    }
+
+    #[test]
+    fn a_wake_moved_earlier_leaves_a_stale_entry() {
+        let cut = FaultPlan::new().link_cut(40, NodeId::new(6), Some(60));
+        let plans = vec![FaultPlan::new(), cut, FaultPlan::new()];
+        let msgs = [(5, vec![(1, 0, 2)])];
+        let mut e = engine(&plans, true, &msgs);
+        assert_eq!(e.core.later.peek(), Some(&Reverse((40, 1))));
+        while e.core.now <= 5 {
+            e.step();
+        }
+        // The launch pulled carrier 1's wake from the fault event to the
+        // leg; the entry for tick 40 no longer matches it.
+        assert!(e.core.wake[1] < 40);
+        assert!(e.core.later.iter().any(|&Reverse(entry)| entry == (40, 1)));
+        // An idle carrier's stale entry is dropped where it comes due.
+        e.core.later.push(Reverse((10, 2)));
+        while e.core.now <= 10 {
+            e.step();
+        }
+        assert!(e.core.later.iter().all(|&Reverse((at, _))| at > 10));
+        assert_eq!(
+            e.core.carriers[2].now().get(),
+            0,
+            "a stale entry advanced its carrier"
+        );
+        agrees_with_ticking(e, &plans, &msgs);
+    }
+
+    #[test]
+    fn an_idle_jump_lands_on_a_pending_wake() {
+        // The second leg replays the first's life; carrier 1's fault event
+        // comes due in the middle of it.
+        let cut = FaultPlan::new().link_cut(205, NodeId::new(6), Some(260));
+        let plans = vec![FaultPlan::new(), cut, FaultPlan::new()];
+        let msgs = [(0, vec![(0, 0, 3)]), (200, vec![(0, 0, 3)])];
+        let mut e = engine(&plans, true, &msgs);
+        while e.core.now <= 200 {
+            e.step();
+        }
+        let teardown = e.core.carriers[0]
+            .deferred_until()
+            .expect("the second leg replays the first one's life");
+        assert!(teardown > 205 && e.core.wake[0] > 205);
+        // A stale entry ahead of the pending wake does not stop the jump.
+        e.core.later.push(Reverse((203, 2)));
+        assert_eq!(e.idle(), Some((205, teardown)));
+        assert_eq!(agrees_with_ticking(e, &plans, &msgs), 1);
+    }
+
+    /// Sparse multi-leg traffic over faulty carriers, replayed by
+    /// unchecked carriers under a checked engine: every step cross-checks
+    /// the wake index, every idle stretch the deferral record.
+    #[test]
+    fn checked_mode_cross_checks_the_index_while_legs_replay() {
+        let mut rng = SimRng::seed(0x1dec);
+        let plans: Vec<FaultPlan> = (0..6u32)
+            .map(|c| {
+                let at = 500 + 700 * u64::from(c);
+                FaultPlan::new().link_cut(at, NodeId::new(c), Some(at + 90))
+            })
+            .collect();
+        let msgs: Vec<Msg> = (0..120u64)
+            .map(|i| {
+                let legs = (0..1 + rng.index(3).unwrap())
+                    .map(|_| {
+                        let from = rng.index(8).unwrap() as u32;
+                        let to = (from + 1 + rng.index(7).unwrap() as u32) % 8;
+                        (rng.index(6).unwrap() as u32, from, to)
+                    })
+                    .collect();
+                (40 * i + rng.index(60).unwrap() as u64, legs)
+            })
+            .collect();
+        let fast = engine(&plans, true, &msgs);
+        assert!(agrees_with_ticking(fast, &plans, &msgs) > 10);
     }
 }

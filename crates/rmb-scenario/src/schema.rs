@@ -12,6 +12,18 @@ use std::fmt::Write as _;
 /// Default batch tick budget when `max-ticks` is omitted.
 pub const DEFAULT_MAX_TICKS: u64 = 8_000_000;
 
+/// Largest topology a scenario may build, in nodes.
+const MAX_NODES: u64 = 1 << 20;
+
+/// Largest ring wiring a scenario may build: nodes x buses, per carrier
+/// ring and summed over them. A segment costs about 20 bytes of ring
+/// state, so this is about 100 MB.
+const MAX_SEGMENTS: u64 = 1 << 22;
+
+/// Most carrier rings a scenario may build; an idle ring costs about
+/// 8 KB.
+const MAX_RINGS: u64 = 1 << 14;
+
 /// A fully validated scenario, ready to run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
@@ -836,10 +848,14 @@ fn decode_topology(table: &TomlTable) -> Result<Topology, ScenarioError> {
             if nodes < 2 {
                 return Err(sec.range_err("nodes", nl, "must be at least 2"));
             }
+            if u64::from(nodes) > MAX_NODES {
+                return Err(sec.range_err("nodes", nl, "must be at most 2^20"));
+            }
             let (buses, bl) = sec.req_u16("buses")?;
             if buses == 0 {
                 return Err(sec.range_err("buses", bl, "must be at least 1"));
             }
+            check_wiring(&sec, "buses", bl, &[(nodes, 1, buses)])?;
             Topology::Flat {
                 nodes,
                 buses,
@@ -864,13 +880,25 @@ fn decode_topology(table: &TomlTable) -> Result<Topology, ScenarioError> {
             if buses == 0 {
                 return Err(sec.range_err("buses", bl, "must be at least 1"));
             }
+            if u64::from(rings) * u64::from(nodes_per_ring) > MAX_NODES {
+                return Err(sec.range_err(
+                    "nodes-per-ring",
+                    nl,
+                    "hierarchy too large (rings x nodes-per-ring must stay within 2^20 nodes)",
+                ));
+            }
+            check_rings(&sec, "rings", rl, u64::from(rings) + 1)?;
             let global_buses = match sec.opt_u16("global-buses")? {
                 Some((0, gl)) => {
                     return Err(sec.range_err("global-buses", gl, "must be at least 1"))
                 }
-                Some((g, _)) => Some(g),
-                None => None,
+                other => other,
             };
+            let local = (nodes_per_ring, u64::from(rings), buses);
+            check_wiring(&sec, "buses", bl, &[local])?;
+            let (gk, gkey, gline) =
+                global_buses.map_or((buses, "buses", bl), |(g, gl)| (g, "global-buses", gl));
+            check_wiring(&sec, gkey, gline, &[local, (rings, 1, gk)])?;
             let bridge_queue_depth = match sec.opt_u32("bridge-queue-depth")? {
                 Some((0, ql)) => {
                     return Err(sec.range_err("bridge-queue-depth", ql, "must be at least 1"))
@@ -882,7 +910,7 @@ fn decode_topology(table: &TomlTable) -> Result<Topology, ScenarioError> {
                 rings,
                 nodes_per_ring,
                 buses,
-                global_buses,
+                global_buses: global_buses.map(|(g, _)| g),
                 bridge_queue_depth,
                 head_timeout: decode_timeout(&mut sec, "head-timeout")?,
                 retry_backoff: decode_timeout(&mut sec, "retry-backoff")?,
@@ -897,10 +925,24 @@ fn decode_topology(table: &TomlTable) -> Result<Topology, ScenarioError> {
             if cols < 2 {
                 return Err(sec.range_err("cols", cl, "must be at least 2"));
             }
+            if u64::from(rows) * u64::from(cols) > MAX_NODES {
+                return Err(sec.range_err(
+                    "cols",
+                    cl,
+                    "grid too large (rows x cols must stay within 2^20 nodes)",
+                ));
+            }
+            check_rings(&sec, "cols", cl, u64::from(rows) + u64::from(cols))?;
             let (buses, bl) = sec.req_u16("buses")?;
             if buses == 0 {
                 return Err(sec.range_err("buses", bl, "must be at least 1"));
             }
+            // A row ring per row over its columns, a column ring per column.
+            let wiring = [
+                (cols, u64::from(rows), buses),
+                (rows, u64::from(cols), buses),
+            ];
+            check_wiring(&sec, "buses", bl, &wiring)?;
             Topology::Grid { rows, cols, buses }
         }
         "lattice" => {
@@ -933,10 +975,26 @@ fn decode_topology(table: &TomlTable) -> Result<Topology, ScenarioError> {
                     "needs at least two dimensions",
                 ));
             }
+            let nodes = dims.iter().try_fold(1u64, |n, &d| {
+                Some(n * u64::from(d)).filter(|&n| n <= MAX_NODES)
+            });
+            let Some(nodes) = nodes else {
+                return Err(sec.range_err(
+                    "dims",
+                    dims_spanned.line,
+                    "lattice too large (the product of dims must stay within 2^20 nodes)",
+                ));
+            };
+            // One ring along each dimension per line of the lattice.
+            let lines = |d: u32| nodes / u64::from(d);
+            let rings = dims.iter().map(|&d| lines(d)).sum();
+            check_rings(&sec, "dims", dims_spanned.line, rings)?;
             let (buses, bl) = sec.req_u16("buses")?;
             if buses == 0 {
                 return Err(sec.range_err("buses", bl, "must be at least 1"));
             }
+            let wiring: Vec<_> = dims.iter().map(|&d| (d, lines(d), buses)).collect();
+            check_wiring(&sec, "buses", bl, &wiring)?;
             Topology::Lattice { dims, buses }
         }
         "torus" => {
@@ -969,6 +1027,43 @@ fn decode_topology(table: &TomlTable) -> Result<Topology, ScenarioError> {
     };
     sec.finish()?;
     Ok(topo)
+}
+
+/// Rejects more than [`MAX_RINGS`] carrier rings, naming `key` at `line`.
+fn check_rings(sec: &Section<'_>, key: &str, line: usize, rings: u64) -> Result<(), ScenarioError> {
+    if rings > MAX_RINGS {
+        return Err(sec.range_err(
+            key,
+            line,
+            &format!("too many carrier rings ({rings}; at most 2^14)"),
+        ));
+    }
+    Ok(())
+}
+
+/// Rejects ring wiring beyond [`MAX_SEGMENTS`], naming `key` at `line`.
+/// `rings` lists the carrier rings as `(nodes, count, buses)`.
+fn check_wiring(
+    sec: &Section<'_>,
+    key: &str,
+    line: usize,
+    rings: &[(u32, u64, u16)],
+) -> Result<(), ScenarioError> {
+    let segments = rings.iter().fold(0u64, |sum, &(nodes, count, buses)| {
+        sum.saturating_add(
+            u64::from(nodes)
+                .saturating_mul(count)
+                .saturating_mul(u64::from(buses)),
+        )
+    });
+    if segments > MAX_SEGMENTS {
+        return Err(sec.range_err(
+            key,
+            line,
+            "too many bus segments (nodes x buses over the carrier rings must stay within 2^22)",
+        ));
+    }
+    Ok(())
 }
 
 fn decode_timeout(sec: &mut Section<'_>, key: &str) -> Result<Option<u64>, ScenarioError> {

@@ -419,6 +419,63 @@ const REJECTIONS: &[(&str, &str, usize)] = &[
         "unknown key `engine.exec`",
         9,
     ),
+    // Oversized topologies: every kind stays within 2^20 nodes, so none
+    // overflows a node count or exhausts memory building its rings.
+    (
+        "name = \"x\"\nseed = 1\n[topology]\nkind = \"lattice\"\ndims = [65536, 65536]\n\
+         buses = 2\n[workload]\nkind = \"uniform\"\nmessages = 4\nflits = 2\n",
+        "key `topology.dims`: lattice too large",
+        5,
+    ),
+    (
+        "name = \"x\"\nseed = 1\n[topology]\nkind = \"lattice\"\n\
+         dims = [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, \
+         2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]\n\
+         buses = 2\n[workload]\nkind = \"uniform\"\nmessages = 4\nflits = 2\n",
+        "key `topology.dims`: lattice too large",
+        5,
+    ),
+    (
+        "name = \"x\"\nseed = 1\n[topology]\nkind = \"grid\"\nrows = 70000\ncols = 70000\n\
+         buses = 2\n[workload]\nkind = \"uniform\"\nmessages = 4\nflits = 2\n",
+        "key `topology.cols`: grid too large",
+        6,
+    ),
+    (
+        "name = \"x\"\nseed = 1\n[topology]\nkind = \"hier\"\nrings = 70000\n\
+         nodes-per-ring = 70000\nbuses = 2\n[workload]\nkind = \"locality\"\n\
+         messages = 16\nspread = 16\nflits = 8\nlocality = 0.8\n",
+        "key `topology.nodes-per-ring`: hierarchy too large",
+        6,
+    ),
+    (
+        "name = \"x\"\nseed = 1\n[topology]\nkind = \"flat\"\nnodes = 2000000\nbuses = 2\n\
+         [workload]\nkind = \"uniform\"\nmessages = 4\nflits = 2\n",
+        "key `topology.nodes`: must be at most 2^20",
+        5,
+    ),
+    // Within the node cap, buses still bound the wiring...
+    (
+        "name = \"x\"\nseed = 1\n[topology]\nkind = \"flat\"\nnodes = 1024\nbuses = 65535\n\
+         [workload]\nkind = \"uniform\"\nmessages = 4\nflits = 2\n",
+        "key `topology.buses`: too many bus segments",
+        6,
+    ),
+    (
+        "name = \"x\"\nseed = 1\n[topology]\nkind = \"hier\"\nrings = 128\n\
+         nodes-per-ring = 8\nbuses = 2\nglobal-buses = 65535\n[workload]\n\
+         kind = \"locality\"\nmessages = 16\nspread = 16\nflits = 8\nlocality = 0.8\n",
+        "key `topology.global-buses`: too many bus segments",
+        8,
+    ),
+    // ...and small dimensions the number of carrier rings.
+    (
+        "name = \"x\"\nseed = 1\n[topology]\nkind = \"lattice\"\n\
+         dims = [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]\nbuses = 1\n\
+         [workload]\nkind = \"uniform\"\nmessages = 4\nflits = 2\n",
+        "key `topology.dims`: too many carrier rings",
+        5,
+    ),
 ];
 
 #[test]

@@ -20,10 +20,11 @@ cargo clippy -p rmb-types -p rmb-workloads -p rmb-sim -p rmb-core -p rmb-hier \
 echo "== scheduler equivalence (event engine vs dense-sweep oracle) =="
 cargo test -q -p rmb-core --test scheduler_equivalence
 
-echo "== lone-circuit replay equivalence (replayed vs ticked lone circuits) =="
+echo "== composition engine equivalence (pinned routes, replayed vs ticked lone circuits) =="
 cargo test -q -p rmb-core --test properties lone_circuit
 cargo test -q -p rmb-hier --test parent_identity --test lone_legs
 cargo test -q -p rmb-analysis --test lone_replay
+cargo test -q -p rmb-analysis --test route_identity
 
 echo "== release build =="
 cargo build --release -p rmb-bench --benches
