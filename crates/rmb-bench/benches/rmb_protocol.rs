@@ -3,7 +3,7 @@
 //! compaction-heavy steady state.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rmb_core::{RmbNetwork, SchedulerMode};
+use rmb_core::RmbNetwork;
 use rmb_types::{MessageSpec, NodeId, RmbConfig};
 
 /// A network with a rotating open workload that keeps roughly half the
@@ -47,12 +47,12 @@ fn bench_tick(c: &mut Criterion) {
 /// A large, mostly idle ring: exactly four long-lived circuits stream
 /// while every other node sits silent. Per-tick cost should track the
 /// active-circuit count, not N×k.
-fn duty_cycle_network(n: u32, mode: SchedulerMode) -> RmbNetwork {
+fn duty_cycle_network(n: u32) -> RmbNetwork {
     let cfg = RmbConfig::builder(n, 8)
         .head_timeout(8 * u64::from(n))
         .build()
         .expect("valid");
-    let mut net = RmbNetwork::builder(cfg).scheduler(mode).build();
+    let mut net = RmbNetwork::new(cfg);
     let stride = n / 4;
     for i in 0..4u32 {
         let s = i * stride;
@@ -72,23 +72,17 @@ fn duty_cycle_network(n: u32, mode: SchedulerMode) -> RmbNetwork {
 fn bench_duty_cycle(c: &mut Criterion) {
     // The tentpole claim: with the event-driven scheduler the cost of a
     // tick at N=1024 with 4 live circuits is about the cost at N=64 with
-    // the same 4 circuits. The dense-sweep variants show the N×k scaling
-    // the active set removes.
+    // the same 4 circuits.
     let mut group = c.benchmark_group("rmb_tick");
     for n in [64u32, 1024] {
-        for (mode, tag) in [
-            (SchedulerMode::EventDriven, ""),
-            (SchedulerMode::DenseSweep, "_dense"),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new("duty_cycle", format!("N{n}_k8_active4{tag}")),
-                &n,
-                |b, &n| {
-                    let mut net = duty_cycle_network(n, mode);
-                    b.iter(|| net.tick());
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("duty_cycle", format!("N{n}_k8_active4")),
+            &n,
+            |b, &n| {
+                let mut net = duty_cycle_network(n);
+                b.iter(|| net.tick());
+            },
+        );
     }
     group.finish();
 }

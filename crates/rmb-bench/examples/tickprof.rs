@@ -5,7 +5,7 @@
 
 use std::time::Instant;
 
-use rmb_core::{RmbNetwork, SchedulerMode};
+use rmb_core::RmbNetwork;
 use rmb_types::{MessageSpec, NodeId, RmbConfig};
 
 fn net_with(n: u32, active: u32) -> RmbNetwork {
@@ -13,9 +13,7 @@ fn net_with(n: u32, active: u32) -> RmbNetwork {
         .head_timeout(8 * u64::from(n))
         .build()
         .expect("valid");
-    let mut net = RmbNetwork::builder(cfg)
-        .scheduler(SchedulerMode::EventDriven)
-        .build();
+    let mut net = RmbNetwork::new(cfg);
     let stride = n.checked_div(active).unwrap_or(n);
     for i in 0..active {
         let s = i * stride;

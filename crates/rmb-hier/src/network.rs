@@ -33,7 +33,7 @@
 
 use crate::engine::{Core, Engine, Router};
 use crate::model;
-use rmb_core::{LoneMemo, RmbNetwork, RunReport, SchedulerMode};
+use rmb_core::{LoneMemo, RmbNetwork, RunReport};
 use rmb_sim::trace::{TraceEvent, TraceKind};
 use rmb_types::{
     AbortedMessage, DeliveredMessage, FaultPlan, HierConfig, HierLeg, HierMessageSpec, NodeId,
@@ -295,7 +295,6 @@ impl HierNetwork {
             leg_max_retries: None,
             checked: false,
             recording: false,
-            scheduler: SchedulerMode::EventDriven,
         }
     }
 
@@ -779,7 +778,6 @@ pub struct HierNetworkBuilder {
     leg_max_retries: Option<u32>,
     checked: bool,
     recording: bool,
-    scheduler: SchedulerMode,
 }
 
 impl HierNetworkBuilder {
@@ -836,13 +834,6 @@ impl HierNetworkBuilder {
         self
     }
 
-    /// Selects the per-tick engine driving every ring.
-    #[must_use]
-    pub fn scheduler(mut self, mode: SchedulerMode) -> Self {
-        self.scheduler = mode;
-        self
-    }
-
     /// Constructs the hierarchy.
     ///
     /// # Panics
@@ -856,8 +847,7 @@ impl HierNetworkBuilder {
             let mut b = RmbNetwork::builder(*self.cfg.local())
                 .fault_plan(plan)
                 .fault_seed(self.fault_seed.wrapping_add(r as u64 + 1))
-                .checked(self.checked)
-                .scheduler(self.scheduler);
+                .checked(self.checked);
             if let Some(limit) = self.leg_max_retries {
                 b = b.max_retries(limit);
             }
@@ -866,8 +856,7 @@ impl HierNetworkBuilder {
         let mut g = RmbNetwork::builder(*self.cfg.global())
             .fault_plan(self.global_plan)
             .fault_seed(self.fault_seed)
-            .checked(self.checked)
-            .scheduler(self.scheduler);
+            .checked(self.checked);
         if let Some(limit) = self.leg_max_retries {
             g = g.max_retries(limit);
         }

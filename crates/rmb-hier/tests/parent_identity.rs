@@ -17,7 +17,6 @@
 //! rerun with `checked` flipped, which must reproduce the same pins, and
 //! the replays are counted to show that the pins cover them.
 
-use rmb_core::SchedulerMode;
 use rmb_hier::{HierNetwork, HierReport};
 use rmb_sim::SimRng;
 use rmb_types::{HierConfig, HierMessageSpec, NodeId, StatsReport};
@@ -38,7 +37,6 @@ struct Case {
     count: usize,
     spread: u64,
     tick_loop: bool,
-    scheduler: SchedulerMode,
     checked: bool,
     seed: u64,
 }
@@ -96,11 +94,6 @@ fn case(i: u64) -> Case {
             (false, false) => pick(&mut rng, 200, 2_500),
         },
         tick_loop: i % 2 == 1,
-        scheduler: if i % 7 == 5 {
-            SchedulerMode::DenseSweep
-        } else {
-            SchedulerMode::EventDriven
-        },
         checked: i % 3 == 2,
         seed: rng.next_u64(),
     }
@@ -172,7 +165,6 @@ fn observe(i: u64, flip: bool) -> (u64, Vec<f64>, u64) {
     let mut builder = HierNetwork::builder(c.cfg)
         .recording(true)
         .checked(c.checked)
-        .scheduler(c.scheduler)
         .fault_seed(c.seed);
     if c.retry_budget {
         builder = builder.leg_max_retries(4);

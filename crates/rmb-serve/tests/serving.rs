@@ -2,7 +2,7 @@
 //! admission shedding, loss accounting across all three targets, and the
 //! counters-only soak path.
 
-use rmb_core::{LogRetention, RmbNetwork, SchedulerMode};
+use rmb_core::{LogRetention, RmbNetwork};
 use rmb_hier::HierNetwork;
 use rmb_serve::{
     serve, AdmissionMode, FlatTarget, HierTarget, ServeConfig, ServeReport, ServeTarget,
@@ -11,7 +11,7 @@ use rmb_serve::{
 use rmb_types::{HierConfig, RmbConfig, StatsReport};
 use rmb_workloads::{BurstyStream, PoissonStream};
 
-fn flat(n: u32, k: u16, scheduler: SchedulerMode, retention: LogRetention) -> FlatTarget {
+fn flat(n: u32, k: u16, retention: LogRetention) -> FlatTarget {
     let cfg = RmbConfig::builder(n, k)
         .head_timeout(16 * u64::from(n))
         .retry_backoff(u64::from(n))
@@ -19,15 +19,14 @@ fn flat(n: u32, k: u16, scheduler: SchedulerMode, retention: LogRetention) -> Fl
         .unwrap();
     FlatTarget::new(
         RmbNetwork::builder(cfg)
-            .scheduler(scheduler)
             .log_retention(retention)
             .latency_sketch(matches!(retention, LogRetention::CountersOnly))
             .build(),
     )
 }
 
-fn run_flat(scheduler: SchedulerMode, rate: f64) -> ServeReport {
-    let mut target = flat(16, 4, scheduler, LogRetention::Full);
+fn run_flat(rate: f64) -> ServeReport {
+    let mut target = flat(16, 4, LogRetention::Full);
     let cfg = ServeConfig::sweep(rate, 6_000, 42);
     serve(&mut target, &mut PoissonStream::new(rate), &cfg)
 }
@@ -44,8 +43,8 @@ fn untimed(r: &ServeReport) -> ServeReport {
 
 #[test]
 fn same_seed_same_report() {
-    let a = run_flat(SchedulerMode::EventDriven, 0.004);
-    let b = run_flat(SchedulerMode::EventDriven, 0.004);
+    let a = run_flat(0.004);
+    let b = run_flat(0.004);
     assert_eq!(a, b);
     assert_eq!(untimed(&a).to_json_object(), untimed(&b).to_json_object());
     // Timed runs record the wall clock (single-threaded targets: 1).
@@ -53,21 +52,8 @@ fn same_seed_same_report() {
 }
 
 #[test]
-fn scheduler_modes_agree_byte_for_byte() {
-    // The event-driven scheduler is an optimisation, not a semantic
-    // change; an identical open-loop run must produce an identical
-    // report under both modes.
-    for rate in [0.002, 0.01] {
-        let ev = run_flat(SchedulerMode::EventDriven, rate);
-        let dense = run_flat(SchedulerMode::DenseSweep, rate);
-        assert_eq!(ev, dense, "rate {rate}");
-        assert_eq!(untimed(&ev).to_json_object(), untimed(&dense).to_json_object());
-    }
-}
-
-#[test]
 fn light_load_sheds_nothing_and_accounts_everything() {
-    let r = run_flat(SchedulerMode::EventDriven, 0.001);
+    let r = run_flat(0.001);
     assert!(r.loss_accounted(), "{r:?}");
     assert_eq!(r.shed, 0, "light load must not shed: {r:?}");
     assert!(r.delivered > 0);
@@ -81,7 +67,7 @@ fn light_load_sheds_nothing_and_accounts_everything() {
 fn overload_sheds_explicitly() {
     // A 16-node single-bus ring cannot serve 0.2 arrivals/node/tick;
     // admission control must shed rather than queue without bound.
-    let mut target = flat(16, 1, SchedulerMode::EventDriven, LogRetention::Full);
+    let mut target = flat(16, 1, LogRetention::Full);
     let cfg = ServeConfig::sweep(0.2, 4_000, 7);
     let r = serve(&mut target, &mut PoissonStream::new(0.2), &cfg);
     assert!(r.loss_accounted(), "{r:?}");
@@ -93,8 +79,8 @@ fn overload_sheds_explicitly() {
 
 #[test]
 fn latency_grows_with_offered_load() {
-    let low = run_flat(SchedulerMode::EventDriven, 0.001);
-    let high = run_flat(SchedulerMode::EventDriven, 0.02);
+    let low = run_flat(0.001);
+    let high = run_flat(0.02);
     assert!(
         high.latency.p99.unwrap() > low.latency.p99.unwrap(),
         "p99 must climb with load: low {:?}, high {:?}",
@@ -108,7 +94,7 @@ fn latency_grows_with_offered_load() {
 fn bursty_arrivals_shed_more_than_poisson_at_equal_rate() {
     let rate = 0.012;
     let run = |bursty: bool| {
-        let mut target = flat(16, 2, SchedulerMode::EventDriven, LogRetention::Full);
+        let mut target = flat(16, 2, LogRetention::Full);
         let cfg = ServeConfig::sweep(rate, 8_000, 11);
         if bursty {
             serve(&mut target, &mut BurstyStream::new(rate, 8), &cfg)
@@ -132,7 +118,7 @@ fn counters_only_soak_stays_bounded_and_loses_nothing() {
     // The soak path: aggregate admission + counters-only retention. The
     // delivered log must stay empty (bounded memory) while percentiles
     // come from the engine's own sketch and accounting stays exact.
-    let mut target = flat(16, 4, SchedulerMode::EventDriven, LogRetention::CountersOnly);
+    let mut target = flat(16, 4, LogRetention::CountersOnly);
     let cfg = ServeConfig {
         rate: 0.004,
         warmup: 1_000,
@@ -161,7 +147,7 @@ fn windowed_retention_feeds_per_source_admission() {
     // Window(n) keeps enough records for the driver's per-tick poll; the
     // run must behave identically to Full retention.
     let run = |retention| {
-        let mut target = flat(16, 4, SchedulerMode::EventDriven, retention);
+        let mut target = flat(16, 4, retention);
         let cfg = ServeConfig::sweep(0.006, 5_000, 19);
         serve(&mut target, &mut PoissonStream::new(0.006), &cfg)
     };
@@ -203,7 +189,7 @@ fn wormhole_target_serves_and_accounts() {
 #[test]
 fn stats_report_schema_is_shared_across_engines() {
     use rmb_types::json::Value;
-    let open = run_flat(SchedulerMode::EventDriven, 0.004);
+    let open = run_flat(0.004);
     let closed = {
         let mut net = RmbNetwork::new(RmbConfig::new(16, 4).unwrap());
         net.submit_all(
