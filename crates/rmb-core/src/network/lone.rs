@@ -502,7 +502,7 @@ impl RmbNetwork {
         self.nodes[dst.as_usize()].receives_active += 1;
         self.buses
             .set_state_at(slot, BusState::TearingDown { freed: 0 });
-        if self.event_driven {
+        if self.event_driven() {
             // A bus tearing down acts every tick and never compacts.
             let sched = &mut self.sched;
             sched.next_due[slot] = delivered_at + 1;
