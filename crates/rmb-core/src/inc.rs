@@ -47,7 +47,7 @@ pub fn derive_inc(net: &RmbNetwork, node: NodeId) -> IncView {
         pe_drives: Vec::new(),
         pe_reads: Vec::new(),
     };
-    for (bus, state) in net.virtual_buses_with_state() {
+    for (bus, state) in net.buses_raw().values_with_state() {
         let active = bus.active_hops(state);
         if active == 0 {
             continue;

@@ -54,7 +54,7 @@ pub fn bus_letter(id: VirtualBusId) -> char {
 /// height profile (the Fig. 2 "virtual bus" view).
 pub fn render_virtual_buses(net: &RmbNetwork) -> String {
     let mut out = String::new();
-    for (bus, state) in net.virtual_buses_with_state() {
+    for (bus, state) in net.buses_raw().values_with_state() {
         let profile: Vec<String> = bus
             .heights
             .iter()
