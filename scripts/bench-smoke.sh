@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Quick performance smoke: release build, the two hot-path bench suites
-# with a short sampling window, the scheduler-equivalence smoke, a
-# regression gate against the recorded PR 2 baseline, and the perf lint
-# gate. Intended as the pre-merge check for changes touching rmb-core's
+# with a short sampling window, the scheduler-equivalence smoke, the
+# downstream suites against the feature-off rmb-core, a regression gate
+# against the recorded PR 2 baseline, and the perf lint gate. Intended as the pre-merge check for changes touching rmb-core's
 # tick path; full runs use plain `cargo bench`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -17,7 +17,26 @@ echo "== clippy (all warnings as errors on the scheduler/fault/builder path) =="
 cargo clippy -p rmb-types -p rmb-workloads -p rmb-sim -p rmb-core -p rmb-hier \
   -p rmb-serve -p rmb-scenario -p rmb-bench -p rmb-async --all-targets -- -D warnings
 
-echo "== scheduler equivalence (event engine vs dense-sweep oracle) =="
+echo "== clippy (all warnings as errors on the rmb-core that ships, oracle feature off) =="
+# Tests of rmb-core enable its dev-only `oracle` feature, and a root
+# `cargo test` unifies it on for every crate. The library target alone
+# builds without dev-dependencies, so this lints the one production path.
+cargo clippy -p rmb-core --lib -- -D warnings
+
+echo "== downstream suites against the rmb-core that ships (oracle feature off) =="
+# Selecting only crates that do not enable the feature builds rmb-core
+# without it: the pinned hierarchy and route identities, the lone-circuit
+# replay suites, the scenario goldens and the serving tests then run the
+# production path. Fail if anything turns the feature on for them.
+shipping=(-p rmb-hier -p rmb-analysis -p rmb-scenario -p rmb-serve)
+features="$(cargo tree -e features -i rmb-core "${shipping[@]}")"
+if grep -q oracle <<<"$features"; then
+  echo "the oracle feature is enabled outside rmb-core's own tests" >&2
+  exit 1
+fi
+cargo test -q "${shipping[@]}"
+
+echo "== scheduler equivalence (event engine vs dense-sweep oracle, oracle feature on) =="
 cargo test -q -p rmb-core --test scheduler_equivalence
 
 echo "== composition engine equivalence (pinned routes, replayed vs ticked lone circuits) =="
