@@ -24,7 +24,7 @@
 //! - the trace recorder and checked mode.
 
 use rmb_core::{LoneMemo, RmbNetwork};
-use rmb_sim::trace::{TraceEvent, TraceKind, TraceSink, VecSink};
+use rmb_sim::trace::{TraceEvent, TraceKind, VecSink};
 use rmb_sim::Tick;
 use rmb_types::{AbortedMessage, DeliveredMessage, MessageSpec, NodeId};
 use std::cmp::Reverse;

@@ -5,32 +5,31 @@
 //! substrate provided here:
 //!
 //! * [`Tick`] — the simulation clock, a newtype over `u64`.
-//! * [`EventQueue`] — a stable discrete-event priority queue for models
-//!   that are event-driven rather than tick-stepped (e.g. the fat-tree's
-//!   variable link lengths).
-//! * [`TimingWheel`] — the hierarchical timing wheel underneath
-//!   [`EventQueue`]: O(1) schedule/pop for near-future events plus an
-//!   O(1) lower-bound peek, used by the event-driven protocol scheduler.
+//! * [`TimingWheel`] — a stable discrete-event queue (FIFO among events
+//!   due at the same tick) built as a hierarchical timing wheel: O(1)
+//!   schedule/pop for near-future events plus an O(1) lower-bound peek,
+//!   used by the event-driven protocol scheduler.
 //! * [`IdSlab`] — flat id-keyed storage with sorted, allocation-free id
 //!   iteration for hot per-entity loops.
-//! * [`BitRing`] — circular `u64`-packed bitmaps with wrap-aware masked
-//!   range queries, the substrate of the bit-parallel occupancy kernel.
+//! * [`arc_any`] / [`arc_word`] — wrap-aware masked range queries over
+//!   circular `u64`-packed bitmaps, the substrate of the bit-parallel
+//!   occupancy kernel.
 //! * [`SimRng`] — seeded, stream-splittable randomness so that every
 //!   experiment is reproducible from a single seed.
 //! * [`QuantileSketch`] — a CKMS targeted-quantiles summary for online
 //!   p50/p99/p999 tracking without per-sample retention, used by the
 //!   open-loop serving driver.
-//! * [`stats`] — counters, online moments, histograms and time series used
-//!   by every report in EXPERIMENTS.md.
+//! * [`stats`] — online moments and histograms used by every report in
+//!   EXPERIMENTS.md.
 //! * [`trace`] — structured event tracing used to regenerate the paper's
 //!   protocol figures.
 //!
 //! # Examples
 //!
 //! ```
-//! use rmb_sim::{EventQueue, Tick};
+//! use rmb_sim::{Tick, TimingWheel};
 //!
-//! let mut q = EventQueue::new();
+//! let mut q = TimingWheel::new();
 //! q.schedule(Tick::new(5), "b");
 //! q.schedule(Tick::new(2), "a");
 //! q.schedule(Tick::new(5), "c"); // same tick: FIFO among equals
@@ -44,7 +43,6 @@
 mod bitset;
 mod clock;
 pub mod par;
-mod queue;
 mod rng;
 mod sketch;
 mod slab;
@@ -52,10 +50,9 @@ pub mod stats;
 pub mod trace;
 mod wheel;
 
-pub use bitset::{arc_any, arc_word, BitRing};
+pub use bitset::{arc_any, arc_word};
 pub use clock::Tick;
 pub use par::{par_map, par_map_with};
-pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use sketch::QuantileSketch;
 pub use slab::IdSlab;

@@ -60,34 +60,6 @@ impl fmt::Display for MessageSpec {
     }
 }
 
-/// Terminal status of a request inside a simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MessageStatus {
-    /// Waiting for injection (top output port busy, or PE send slot busy).
-    Pending,
-    /// Circuit being established (header flit in flight).
-    Connecting,
-    /// Circuit established, data flits streaming.
-    Streaming,
-    /// Delivered in full, virtual bus removed.
-    Delivered,
-    /// Refused by the destination with a `Nack`; will be retried.
-    Refused,
-}
-
-impl fmt::Display for MessageStatus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            MessageStatus::Pending => "pending",
-            MessageStatus::Connecting => "connecting",
-            MessageStatus::Streaming => "streaming",
-            MessageStatus::Delivered => "delivered",
-            MessageStatus::Refused => "refused",
-        };
-        f.write_str(s)
-    }
-}
-
 /// Completion record for a delivered message, as reported by a simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DeliveredMessage {
@@ -158,11 +130,5 @@ mod tests {
         };
         assert_eq!(d.latency(), 30);
         assert_eq!(d.setup_latency(), 15);
-    }
-
-    #[test]
-    fn status_display() {
-        assert_eq!(MessageStatus::Pending.to_string(), "pending");
-        assert_eq!(MessageStatus::Delivered.to_string(), "delivered");
     }
 }

@@ -2,11 +2,9 @@
 //! JSON round-trips of configuration and results.
 
 use rmb::core::{BusState, RmbNetwork, RunReport, VirtualBus};
-use rmb::sim::{EventQueue, SimRng, Tick};
+use rmb::sim::{SimRng, Tick, TimingWheel};
 use rmb::types::json::{FromJson, ToJson};
-use rmb::types::{
-    Ack, AckMode, DeliveredMessage, Flit, MessageSpec, NodeId, RequestId, RmbConfig,
-};
+use rmb::types::{AckMode, DeliveredMessage, MessageSpec, NodeId, RequestId, RmbConfig};
 
 #[test]
 fn umbrella_reexports_cover_all_crates() {
@@ -28,15 +26,13 @@ fn key_types_are_send_and_sync() {
     assert_send_sync::<RmbConfig>();
     assert_send_sync::<MessageSpec>();
     assert_send_sync::<DeliveredMessage>();
-    assert_send_sync::<Flit>();
-    assert_send_sync::<Ack>();
     assert_send_sync::<RmbNetwork>();
     assert_send_sync::<RunReport>();
     assert_send_sync::<VirtualBus>();
     assert_send_sync::<BusState>();
     assert_send_sync::<Tick>();
     assert_send_sync::<SimRng>();
-    assert_send_sync::<EventQueue<u32>>();
+    assert_send_sync::<TimingWheel<u32>>();
 }
 
 #[test]
