@@ -159,58 +159,12 @@ fn bench_compaction(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_microsim_cross(c: &mut Criterion) {
-    // The explicit flit-level engine vs the arithmetic engine on the same
-    // rotation workload: quantifies what the per-flit representation
-    // costs (the cross-validation suite proves they agree; this measures
-    // the price of explicitness).
-    use rmb_core::microsim::FlitLevelRmb;
-    let mut group = c.benchmark_group("engine_comparison");
-    group.sample_size(20);
-    let n = 32u32;
-    // Staggered rotation keeps the ring below saturation so both engines
-    // run to quiescence (simultaneous full permutations can gridlock the
-    // verbatim protocol; see the deadlock study).
-    let build_msgs = || {
-        (0..n)
-            .map(|s| {
-                MessageSpec::new(NodeId::new(s), NodeId::new((s + 5) % n), 16)
-                    .at(u64::from(s) * 12)
-            })
-            .collect::<Vec<_>>()
-    };
-    group.bench_function("arithmetic_engine", |b| {
-        b.iter(|| {
-            let mut net = RmbNetwork::new(RmbConfig::new(n, 4).expect("valid"));
-            for m in build_msgs() {
-                net.submit(m).expect("valid");
-            }
-            let report = net.run_to_quiescence(1_000_000);
-            assert_eq!(report.delivered, n as usize);
-            report.ticks
-        });
-    });
-    group.bench_function("flit_level_engine", |b| {
-        b.iter(|| {
-            let mut sim = FlitLevelRmb::new(RmbConfig::new(n, 4).expect("valid"));
-            for m in build_msgs() {
-                sim.submit(m).expect("valid");
-            }
-            sim.run_to_quiescence(1_000_000);
-            assert_eq!(sim.delivered().len(), n as usize);
-            sim.delivered().len()
-        });
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_tick,
     bench_duty_cycle,
     bench_delivery,
     bench_sparse_quiescence,
-    bench_compaction,
-    bench_microsim_cross
+    bench_compaction
 );
 criterion_main!(benches);

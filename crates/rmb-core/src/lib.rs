@@ -23,8 +23,10 @@
 //!   handshake compaction, statistics, tracing, invariant checking.
 //! * [`LoneMemo`] — lives of lone circuits, recorded and replayed by
 //!   [`RmbNetwork::run_window`] instead of ticked.
-//! * [`microsim::FlitLevelRmb`] — an independent flit-object engine with
-//!   explicit Table 1 registers, used to cross-validate `RmbNetwork`.
+//! * `microsim::FlitLevelRmb` — an independent flit-object engine with
+//!   explicit Table 1 registers that the cross-validation suite runs
+//!   against `RmbNetwork`. Built only with the dev-only `oracle` feature,
+//!   which rmb-core's own tests turn on.
 //! * [`derive_inc`] — projects Table 1 registers out of the network state.
 //! * [`render_occupancy`] — ASCII occupancy art for the paper's figures.
 //!
@@ -52,6 +54,7 @@ mod compaction;
 mod cycle;
 mod inc;
 pub mod invariants;
+#[cfg(feature = "oracle")]
 pub mod microsim;
 mod network;
 mod occupancy;
