@@ -32,7 +32,9 @@ const DEAD: u32 = u32::MAX;
 
 /// A flat id-keyed slab with sorted, allocation-free id iteration.
 ///
-/// See the [module docs](self) for the intended usage pattern.
+/// Values live in a flat `Vec` with a free list, an id → slot table
+/// gives O(1) lookups, and removal is lazy with respect to the sorted id
+/// list until [`compact_active`](IdSlab::compact_active) prunes it.
 #[derive(Debug, Clone, Default)]
 pub struct IdSlab<T> {
     /// Value storage; `None` marks a freed slot awaiting reuse.

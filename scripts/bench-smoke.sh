@@ -1,14 +1,22 @@
 #!/usr/bin/env bash
-# Quick performance smoke: release build, the two hot-path bench suites
-# with a short sampling window, the scheduler-equivalence smoke, the
-# downstream suites against the feature-off rmb-core, a regression gate
-# against the recorded PR 2 baseline, and the perf lint gate. Intended as the pre-merge check for changes touching rmb-core's
-# tick path; full runs use plain `cargo bench`.
+# Quick performance smoke: the formatting, rustdoc and lint gates, the
+# scheduler-equivalence smoke, the downstream suites against the
+# feature-off rmb-core, release build, the two hot-path bench suites with
+# a short sampling window and a regression gate against the baseline in
+# BENCH_PR2.json. Intended as the pre-merge check for changes touching
+# rmb-core's tick path; full runs use plain `cargo bench`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== non-test LOC per crate (print only, no gate) =="
 scripts/loc.sh
+
+echo "== rustfmt (the workspace is formatted) =="
+cargo fmt --all -- --check
+
+echo "== rustdoc (warnings as errors, rmb-core with and without its oracle feature) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+RUSTDOCFLAGS="-D warnings" cargo doc -p rmb-core --features oracle --no-deps
 
 echo "== clippy (perf lints as errors) =="
 cargo clippy --workspace --all-targets -- -D clippy::perf
