@@ -84,8 +84,7 @@ impl Bencher {
             let elapsed = t.elapsed();
             if elapsed >= target || iters >= (1 << 30) {
                 self.iters_per_sample = iters;
-                self.samples
-                    .push(elapsed.as_nanos() as f64 / iters as f64);
+                self.samples.push(elapsed.as_nanos() as f64 / iters as f64);
                 break;
             }
             let grow = if elapsed.as_nanos() == 0 {
@@ -148,7 +147,12 @@ impl BenchmarkGroup<'_> {
     }
 
     /// Benchmarks `f` under `id` with a borrowed input.
-    pub fn bench_with_input<I, F>(&mut self, id: impl Into<BenchmarkId>, input: &I, mut f: F) -> &mut Self
+    pub fn bench_with_input<I, F>(
+        &mut self,
+        id: impl Into<BenchmarkId>,
+        input: &I,
+        mut f: F,
+    ) -> &mut Self
     where
         F: FnMut(&mut Bencher, &I),
     {
@@ -253,7 +257,10 @@ impl Criterion {
             "bench {name:<48} median {median:>12.1} ns/iter  min {min:>12.1}  mean {mean:>12.1}{rate}"
         );
         if let Ok(path) = std::env::var("CRITERION_JSON") {
-            if let Ok(mut file) = std::fs::OpenOptions::new().create(true).append(true).open(path)
+            if let Ok(mut file) = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)
             {
                 let _ = writeln!(
                     file,

@@ -195,7 +195,12 @@ mod tests {
         let mut dual = DualRmbRing::new(cfg);
         let s = single.route_messages(&msgs, 1_000_000);
         let d = dual.route_messages(&msgs, 1_000_000);
-        assert_eq!(s.delivered.len(), msgs.len(), "single stalled={}", s.stalled);
+        assert_eq!(
+            s.delivered.len(),
+            msgs.len(),
+            "single stalled={}",
+            s.stalled
+        );
         assert_eq!(d.delivered.len(), msgs.len(), "dual stalled={}", d.stalled);
         assert!(
             d.makespan() < s.makespan(),

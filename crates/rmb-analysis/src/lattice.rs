@@ -58,7 +58,10 @@ impl RmbLattice {
     /// below 2, or the lattice has more than `u32::MAX` nodes.
     pub fn new(dims: Vec<u32>, ring_cfg: RmbConfig) -> Self {
         assert!(dims.len() >= 2, "a lattice needs at least two dimensions");
-        assert!(dims.iter().all(|&d| d >= 2), "each dimension needs >= 2 nodes");
+        assert!(
+            dims.iter().all(|&d| d >= 2),
+            "each dimension needs >= 2 nodes"
+        );
         assert!(
             dims.iter()
                 .try_fold(1u32, |n, &d| n.checked_mul(d))
@@ -141,7 +144,11 @@ impl LegMap for RmbLattice {
         8 * u64::from(self.dims.iter().sum::<u32>())
             + 3 * self.cfgs[0].head_timeout.unwrap_or(0)
             + 16 * self.cfgs[0].node.retry_backoff
-            + messages.iter().map(|m| u64::from(m.data_flits)).max().unwrap_or(0)
+            + messages
+                .iter()
+                .map(|m| u64::from(m.data_flits))
+                .max()
+                .unwrap_or(0)
             + 128
     }
 }
@@ -149,7 +156,11 @@ impl LegMap for RmbLattice {
 impl Network for RmbLattice {
     fn label(&self) -> String {
         let shape: Vec<String> = self.dims.iter().map(|d| d.to_string()).collect();
-        format!("rmb-lattice({}, k={})", shape.join("x"), self.cfgs[0].buses())
+        format!(
+            "rmb-lattice({}, k={})",
+            shape.join("x"),
+            self.cfgs[0].buses()
+        )
     }
 
     fn node_count(&self) -> u32 {
@@ -251,8 +262,7 @@ mod tests {
         let n = 36u32;
         let msgs: Vec<MessageSpec> = (0..n)
             .map(|s| {
-                MessageSpec::new(NodeId::new(s), NodeId::new((s + 17) % n), 8)
-                    .at(u64::from(s) * 24)
+                MessageSpec::new(NodeId::new(s), NodeId::new((s + 17) % n), 8).at(u64::from(s) * 24)
             })
             .collect();
         let ring_cfg = RmbConfig::builder(n, 8)
@@ -321,7 +331,11 @@ mod tests {
         );
         assert_eq!(out.delivered.len(), 1);
         // Single ring leg: latency well under two-leg cost.
-        assert!(out.delivered[0].latency() < 40, "{}", out.delivered[0].latency());
+        assert!(
+            out.delivered[0].latency() < 40,
+            "{}",
+            out.delivered[0].latency()
+        );
     }
 
     #[test]

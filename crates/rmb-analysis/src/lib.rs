@@ -25,16 +25,16 @@ mod dual_ring;
 mod lattice;
 pub mod model;
 pub mod offline;
-mod rmb_adapter;
 pub mod report;
+mod rmb_adapter;
 pub mod structural;
 
 pub use cost::{Architecture, Cost};
 pub use dual_ring::DualRmbRing;
 pub use lattice::RmbLattice;
 pub use offline::{competitive_ratio, offline_schedule, ring_lower_bound, OfflineSchedule};
-pub use rmb_adapter::RmbRing;
 pub use report::Table;
+pub use rmb_adapter::RmbRing;
 
 use rmb_baselines::RoutingOutcome;
 

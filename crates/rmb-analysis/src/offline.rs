@@ -116,10 +116,7 @@ pub fn offline_schedule(ring: RingSize, k: u16, messages: &[MessageSpec]) -> Off
             .into_iter()
             .find(|&t| {
                 hops.iter().all(|&h| {
-                    let overlapping = busy[h]
-                        .iter()
-                        .filter(|&&(s, f)| s < t + w && f > t)
-                        .count();
+                    let overlapping = busy[h].iter().filter(|&&(s, f)| s < t + w && f > t).count();
                     overlapping < k
                 })
             })
@@ -238,9 +235,7 @@ mod tests {
     #[test]
     fn schedule_never_beats_lower_bound() {
         let r = ring(16);
-        let batch: Vec<MessageSpec> = (0..16)
-            .map(|s| msg(s, (s + 5) % 16, (s % 7) * 3))
-            .collect();
+        let batch: Vec<MessageSpec> = (0..16).map(|s| msg(s, (s + 5) % 16, (s % 7) * 3)).collect();
         for k in [1u16, 2, 4, 8] {
             let sched = offline_schedule(r, k, &batch);
             assert!(sched.is_feasible(r, k, &batch), "k={k}");

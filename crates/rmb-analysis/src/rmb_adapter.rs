@@ -45,11 +45,7 @@ impl RmbRing {
 
 impl Network for RmbRing {
     fn label(&self) -> String {
-        format!(
-            "rmb(N={}, k={})",
-            self.cfg.nodes().get(),
-            self.cfg.buses()
-        )
+        format!("rmb(N={}, k={})", self.cfg.nodes().get(), self.cfg.buses())
     }
 
     fn node_count(&self) -> u32 {

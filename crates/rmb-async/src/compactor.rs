@@ -7,12 +7,12 @@
 //! the *decisions* are fully distributed, exactly as in the paper's INC
 //! hardware.
 
-use std::sync::Mutex;
 use rmb_core::{
     assessed_in_phase, CycleController, CycleFlags, CycleStep, EndpointHeight, HopContext, Phase,
 };
 use rmb_types::{BusIndex, NodeId, RingSize};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::Mutex;
 
 /// One established circuit for the static-compaction experiment: the
 /// `Hack` has long returned, so both endpoints attach to PEs and every hop
@@ -130,10 +130,7 @@ impl Grid {
     fn check_consistency(&self) {
         for bus in &self.buses {
             for w in bus.heights.windows(2) {
-                assert!(
-                    w[0].is_adjacent_or_equal(w[1]),
-                    "continuity broken: {w:?}"
-                );
+                assert!(w[0].is_adjacent_or_equal(w[1]), "continuity broken: {w:?}");
             }
         }
         let occupied: usize = self
@@ -263,9 +260,7 @@ impl ThreadedCompactor {
                             transitions[i].store(ctl.transitions(), Ordering::SeqCst);
                         }
                         if ctl.transitions() >= goal {
-                            let all = transitions
-                                .iter()
-                                .all(|t| t.load(Ordering::SeqCst) >= goal);
+                            let all = transitions.iter().all(|t| t.load(Ordering::SeqCst) >= goal);
                             if all {
                                 stop.store(true, Ordering::SeqCst);
                             }
@@ -282,7 +277,10 @@ impl ThreadedCompactor {
             reached_fixpoint: grid.is_fixpoint(),
             buses: grid.buses,
             moves: moves.load(Ordering::Relaxed),
-            transitions: transitions.iter().map(|t| t.load(Ordering::SeqCst)).collect(),
+            transitions: transitions
+                .iter()
+                .map(|t| t.load(Ordering::SeqCst))
+                .collect(),
         }
     }
 }
@@ -322,14 +320,9 @@ mod tests {
     #[test]
     fn gap_is_filled_from_above() {
         // Bottom free, two buses above: both sink one level.
-        let result = ThreadedCompactor::new(8, 3)
-            .run(vec![bus(0, &[1, 1, 1]), bus(0, &[2, 2, 2])]);
+        let result = ThreadedCompactor::new(8, 3).run(vec![bus(0, &[1, 1, 1]), bus(0, &[2, 2, 2])]);
         assert!(result.reached_fixpoint);
-        let mut levels: Vec<u16> = result
-            .buses
-            .iter()
-            .map(|b| b.heights[0].index())
-            .collect();
+        let mut levels: Vec<u16> = result.buses.iter().map(|b| b.heights[0].index()).collect();
         levels.sort_unstable();
         assert_eq!(levels, vec![0, 1]);
     }
@@ -338,8 +331,8 @@ mod tests {
     fn partial_overlap_respects_switching_constraint() {
         // A long bus above a short one: over the shared hops it stays one
         // level up; outside them it may dip only one level per hop.
-        let result = ThreadedCompactor::new(10, 4)
-            .run(vec![bus(2, &[0, 0]), bus(0, &[3, 3, 3, 3, 3, 3])]);
+        let result =
+            ThreadedCompactor::new(10, 4).run(vec![bus(2, &[0, 0]), bus(0, &[3, 3, 3, 3, 3, 3])]);
         assert!(result.reached_fixpoint);
         let long = &result.buses[1];
         // Continuity held.

@@ -1,8 +1,8 @@
 //! The odd/even cycle handshake under real threads.
 
-use std::thread;
 use rmb_core::{CycleController, CycleFlags, CycleStep, Phase};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::thread;
 
 fn pack(flags: CycleFlags) -> u8 {
     u8::from(flags.data) | (u8::from(flags.cycle) << 1)
@@ -130,9 +130,8 @@ impl ThreadedCycleRing {
                         if ctl.transitions() >= goal {
                             // Signal completion; keep stepping so slower
                             // neighbours are not starved of our flags.
-                            let all_done = transitions
-                                .iter()
-                                .all(|t| t.load(Ordering::SeqCst) >= goal);
+                            let all_done =
+                                transitions.iter().all(|t| t.load(Ordering::SeqCst) >= goal);
                             if all_done {
                                 stop.store(true, Ordering::SeqCst);
                             }
@@ -145,7 +144,10 @@ impl ThreadedCycleRing {
         });
 
         CycleRunStats {
-            transitions: transitions.iter().map(|t| t.load(Ordering::SeqCst)).collect(),
+            transitions: transitions
+                .iter()
+                .map(|t| t.load(Ordering::SeqCst))
+                .collect(),
             lemma1_held: !violated.load(Ordering::SeqCst),
             max_observed_skew: max_skew.load(Ordering::Relaxed),
         }

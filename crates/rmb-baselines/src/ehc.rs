@@ -40,7 +40,10 @@ impl Ehc {
     /// Panics unless `n` is a power of two (at least 2) and `duplicated`
     /// names one of its `log2 n` dimensions.
     pub fn new(n: u32, duplicated: u32) -> Self {
-        assert!(n.is_power_of_two() && n >= 2, "EHC size must be a power of two >= 2");
+        assert!(
+            n.is_power_of_two() && n >= 2,
+            "EHC size must be a power of two >= 2"
+        );
         let dims = n.trailing_zeros();
         assert!(duplicated < dims, "duplicated dimension out of range");
         let mut graph = Graph::new(n as usize);

@@ -59,7 +59,10 @@ impl FatTree {
     }
 
     fn build(n: u32, k: u16, layout_wires: bool) -> Self {
-        assert!(n.is_power_of_two() && n >= 2, "fat tree needs a power-of-two leaf count");
+        assert!(
+            n.is_power_of_two() && n >= 2,
+            "fat tree needs a power-of-two leaf count"
+        );
         assert!(k >= 1, "capacity cap must be at least 1");
         // Heap vertices 1 .. 2N (leaves N .. 2N-1), plus unused vertex 0.
         let mut graph = Graph::new(2 * n as usize);

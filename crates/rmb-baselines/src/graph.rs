@@ -1,6 +1,5 @@
 //! Directed channel graphs shared by the baseline topologies.
 
-
 /// A vertex in a channel graph (a switch or a terminal).
 pub type Vertex = usize;
 
@@ -95,7 +94,10 @@ impl Graph {
         latency: u32,
         group: usize,
     ) -> usize {
-        assert!(from < self.out.len() && to < self.out.len(), "endpoint out of range");
+        assert!(
+            from < self.out.len() && to < self.out.len(),
+            "endpoint out of range"
+        );
         assert!(latency >= 1, "a wire needs at least one tick");
         let id = self.channels.len();
         self.channels.push(Channel {
@@ -133,7 +135,11 @@ impl Graph {
     /// Total wire length of all undirected links, in unit wires: the §3.2
     /// "total wire length" metric.
     pub fn total_wire_length(&self) -> u64 {
-        self.channels.iter().map(|c| u64::from(c.latency)).sum::<u64>() / 2
+        self.channels
+            .iter()
+            .map(|c| u64::from(c.latency))
+            .sum::<u64>()
+            / 2
     }
 
     /// The channel with the given id.
@@ -181,11 +187,21 @@ mod tests {
         let (f, b) = g.add_link(0, 1);
         assert_eq!(
             g.channel(f),
-            Channel { from: 0, to: 1, latency: 1, group: 0 }
+            Channel {
+                from: 0,
+                to: 1,
+                latency: 1,
+                group: 0
+            }
         );
         assert_eq!(
             g.channel(b),
-            Channel { from: 1, to: 0, latency: 1, group: 1 }
+            Channel {
+                from: 1,
+                to: 0,
+                latency: 1,
+                group: 1
+            }
         );
         assert_eq!(g.undirected_links(), 1);
         assert_eq!(g.physical_link_count(), 2);

@@ -49,7 +49,10 @@ impl Hypercube {
     }
 
     fn build(n: u32, layout_wires: bool) -> Self {
-        assert!(n.is_power_of_two() && n >= 2, "hypercube size must be a power of two >= 2");
+        assert!(
+            n.is_power_of_two() && n >= 2,
+            "hypercube size must be a power of two >= 2"
+        );
         let dims = n.trailing_zeros();
         let mut graph = Graph::new(n as usize);
         for u in 0..n as usize {

@@ -63,7 +63,11 @@ impl Mesh2D {
     /// assumes `√N × √N`).
     pub fn square(n: u32) -> Self {
         let side = (n as f64).sqrt().round() as u32;
-        assert_eq!(side * side, n, "square mesh needs a perfect-square node count");
+        assert_eq!(
+            side * side,
+            n,
+            "square mesh needs a perfect-square node count"
+        );
         Mesh2D::new(side, side)
     }
 

@@ -50,8 +50,7 @@ impl KAryNCube {
         assert!(dims >= 1, "need at least one dimension");
         let n = radix.pow(dims) as usize;
         let mut graph = Graph::new(n);
-        let mut vc_channel =
-            vec![vec![vec![[usize::MAX; 2]; n]; 2]; dims as usize];
+        let mut vc_channel = vec![vec![vec![[usize::MAX; 2]; n]; 2]; dims as usize];
         let mut next_group = 0usize;
         // `dim`/`node` double as coordinates and table indices; plain
         // ranges read best here.

@@ -30,7 +30,10 @@ impl RoutingOutcome {
         if self.delivered.is_empty() {
             return 0.0;
         }
-        self.delivered.iter().map(|d| d.latency() as f64).sum::<f64>()
+        self.delivered
+            .iter()
+            .map(|d| d.latency() as f64)
+            .sum::<f64>()
             / self.delivered.len() as f64
     }
 }

@@ -529,7 +529,10 @@ mod tests {
         // Channel 1->2 is shared; the second worm must wait for the tail
         // of whichever got it first.
         let t: Vec<u64> = report.delivered.iter().map(|d| d.delivered_at).collect();
-        assert!(t[0].abs_diff(t[1]) >= 4, "worms cannot fully overlap: {t:?}");
+        assert!(
+            t[0].abs_diff(t[1]) >= 4,
+            "worms cannot fully overlap: {t:?}"
+        );
     }
 
     #[test]
@@ -595,8 +598,12 @@ mod tests {
         // Trickle 30 messages in while the engine runs.
         for i in 0..30u64 {
             eng.submit(
-                MessageSpec::new(NodeId::new((i % 4) as u32), NodeId::new(((i + 2) % 4) as u32), 4)
-                    .at(i * 9),
+                MessageSpec::new(
+                    NodeId::new((i % 4) as u32),
+                    NodeId::new(((i + 2) % 4) as u32),
+                    4,
+                )
+                .at(i * 9),
             );
         }
         while eng.live_count() > 0 && eng.now() < 100_000 {

@@ -143,36 +143,39 @@ fn bench_feasibility(c: &mut Criterion) {
     let mut group = c.benchmark_group("tick_kernel");
     let n = 192u32;
     group.throughput(Throughput::Elements(u64::from(n) * u64::from(n - 1)));
-    group.bench_function(BenchmarkId::new("feasibility", format!("N{n}_k2_bitmap")), |b| {
-        let cfg = RmbConfig::builder(n, 2)
-            .head_timeout(8 * u64::from(n))
-            .build()
-            .expect("valid");
-        let mut net = RmbNetwork::new(cfg);
-        // 24 long circuits spread over the ring occupy scattered
-        // segments, so queries see mixed occupancy.
-        for i in 0..24u32 {
-            let s = i * (n / 24);
-            net.submit(MessageSpec::new(
-                NodeId::new(s),
-                NodeId::new((s + 5) % n),
-                1_000_000_000,
-            ))
-            .expect("valid");
-        }
-        net.run(16 * u64::from(n));
-        b.iter(|| {
-            let mut feasible = 0u32;
-            for src in 0..n {
-                for dst in 0..n {
-                    if src != dst && net.path_feasible(NodeId::new(src), NodeId::new(dst)) {
-                        feasible += 1;
+    group.bench_function(
+        BenchmarkId::new("feasibility", format!("N{n}_k2_bitmap")),
+        |b| {
+            let cfg = RmbConfig::builder(n, 2)
+                .head_timeout(8 * u64::from(n))
+                .build()
+                .expect("valid");
+            let mut net = RmbNetwork::new(cfg);
+            // 24 long circuits spread over the ring occupy scattered
+            // segments, so queries see mixed occupancy.
+            for i in 0..24u32 {
+                let s = i * (n / 24);
+                net.submit(MessageSpec::new(
+                    NodeId::new(s),
+                    NodeId::new((s + 5) % n),
+                    1_000_000_000,
+                ))
+                .expect("valid");
+            }
+            net.run(16 * u64::from(n));
+            b.iter(|| {
+                let mut feasible = 0u32;
+                for src in 0..n {
+                    for dst in 0..n {
+                        if src != dst && net.path_feasible(NodeId::new(src), NodeId::new(dst)) {
+                            feasible += 1;
+                        }
                     }
                 }
-            }
-            feasible
-        });
-    });
+                feasible
+            });
+        },
+    );
     group.finish();
 }
 

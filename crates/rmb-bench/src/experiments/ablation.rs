@@ -31,9 +31,8 @@ fn base(n: u32, k: u16) -> RmbConfigBuilder {
 /// Runs all ablation variants on a shared random-permutation + rotation
 /// workload.
 pub fn ablation_suite(n: u32, k: u16, flits: u32, seed: u64) -> Vec<AblationResult> {
-    let suite = WorkloadSuite::new(
-        WorkloadConfig::new(n, seed).with_sizes(SizeDistribution::Fixed(flits)),
-    );
+    let suite =
+        WorkloadSuite::new(WorkloadConfig::new(n, seed).with_sizes(SizeDistribution::Fixed(flits)));
     let mut msgs = suite.permutation(PermutationKind::Random);
     // A second wave landing mid-flight stresses the insertion rule.
     msgs.extend(
@@ -44,7 +43,10 @@ pub fn ablation_suite(n: u32, k: u16, flits: u32, seed: u64) -> Vec<AblationResu
     );
 
     let variants: Vec<(String, RmbConfig)> = vec![
-        ("paper (all features)".into(), base(n, k).build().expect("valid")),
+        (
+            "paper (all features)".into(),
+            base(n, k).build().expect("valid"),
+        ),
         (
             "no compaction".into(),
             base(n, k).compaction(false).build().expect("valid"),
@@ -71,11 +73,7 @@ pub fn ablation_suite(n: u32, k: u16, flits: u32, seed: u64) -> Vec<AblationResu
             variant: name,
             makespan: if complete { o.makespan() } else { 0 },
             mean_latency: o.mean_latency(),
-            refusals: o
-                .delivered
-                .iter()
-                .map(|d| u64::from(d.refusals))
-                .sum(),
+            refusals: o.delivered.iter().map(|d| u64::from(d.refusals)).sum(),
             stalled: o.stalled || !complete,
         });
     }

@@ -25,9 +25,8 @@ pub struct CompetitivenessRow {
 /// Measures the competitive ratio on the standard permutation families.
 pub fn competitiveness(n: u32, k: u16, flits: u32, seed: u64) -> Vec<CompetitivenessRow> {
     let ring = RingSize::new(n).expect("n >= 2");
-    let suite = WorkloadSuite::new(
-        WorkloadConfig::new(n, seed).with_sizes(SizeDistribution::Fixed(flits)),
-    );
+    let suite =
+        WorkloadSuite::new(WorkloadConfig::new(n, seed).with_sizes(SizeDistribution::Fixed(flits)));
     let cfg = RmbConfig::builder(n, k)
         .head_timeout(16 * u64::from(n))
         .retry_backoff(u64::from(n))

@@ -26,9 +26,8 @@ pub struct HotspotRow {
 /// Bernoulli stream concentrates on one node; the receive-port limit is
 /// swept over 1, 2 and 4.
 pub fn hotspot_experiment(n: u32, k: u16, rate: f64, bias: f64, seed: u64) -> Vec<HotspotRow> {
-    let suite = WorkloadSuite::new(
-        WorkloadConfig::new(n, seed).with_sizes(SizeDistribution::Fixed(8)),
-    );
+    let suite =
+        WorkloadSuite::new(WorkloadConfig::new(n, seed).with_sizes(SizeDistribution::Fixed(8)));
     let hot = NodeId::new(0);
     let msgs = suite.hotspot(rate, 3_000, hot, bias);
     let mut rows = Vec::new();
@@ -40,7 +39,8 @@ pub fn hotspot_experiment(n: u32, k: u16, rate: f64, bias: f64, seed: u64) -> Ve
             .build()
             .expect("valid");
         let mut net = RmbNetwork::new(cfg);
-        net.submit_all(msgs.iter().copied()).expect("valid workload");
+        net.submit_all(msgs.iter().copied())
+            .expect("valid workload");
         let report = net.run_to_quiescence(2_000_000);
         let hot_msgs: Vec<_> = net
             .delivered_log()
@@ -100,7 +100,9 @@ pub fn multicast_experiment(n: u32, k: u16, flits: u32) -> Vec<MulticastRow> {
     let max_group = n - 2;
     let mut group = 2;
     while group <= max_group {
-        let destinations: Vec<NodeId> = (1..=group).map(|i| NodeId::new(i * (n / (group + 1)))).collect();
+        let destinations: Vec<NodeId> = (1..=group)
+            .map(|i| NodeId::new(i * (n / (group + 1))))
+            .collect();
         let destinations: Vec<NodeId> = destinations
             .into_iter()
             .filter(|d| d.index() != 0)
@@ -167,9 +169,8 @@ impl WireDelayRow {
 /// mesh use unit wires by construction; the hypercube and fat tree pay
 /// for their long wires.
 pub fn wire_delay_experiment(n: u32, k: u16, flits: u32, seed: u64) -> Vec<WireDelayRow> {
-    let suite = WorkloadSuite::new(
-        WorkloadConfig::new(n, seed).with_sizes(SizeDistribution::Fixed(flits)),
-    );
+    let suite =
+        WorkloadSuite::new(WorkloadConfig::new(n, seed).with_sizes(SizeDistribution::Fixed(flits)));
     let msgs = suite.permutation(PermutationKind::Random);
     let max_ticks = 4_000_000;
     let run = |net: &mut dyn Network| {
@@ -437,7 +438,10 @@ mod tests {
         assert!(rows.iter().all(|r| r.delivered == total));
         // More receive slots -> fewer refusals and lower hot latency.
         assert!(rows[2].refusals <= rows[0].refusals, "{rows:?}");
-        assert!(rows[2].hot_latency <= rows[0].hot_latency * 1.05, "{rows:?}");
+        assert!(
+            rows[2].hot_latency <= rows[0].hot_latency * 1.05,
+            "{rows:?}"
+        );
         assert_eq!(hotspot_table(&rows).len(), 3);
     }
 

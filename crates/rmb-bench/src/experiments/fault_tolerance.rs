@@ -91,7 +91,8 @@ pub fn fault_tolerance_experiment(
             .fault_seed(seed ^ 0x5eed_fa17)
             .max_retries(16)
             .build();
-        net.submit_all(msgs.iter().copied()).expect("valid workload");
+        net.submit_all(msgs.iter().copied())
+            .expect("valid workload");
         let report = net.run_to_quiescence(8_000_000);
         FaultToleranceRow {
             n,
@@ -117,7 +118,15 @@ pub fn fault_tolerance_experiment(
 /// Renders fault-tolerance rows.
 pub fn fault_tolerance_table(rows: &[FaultToleranceRow]) -> Table {
     let mut t = Table::new(vec![
-        "N", "k", "fraction", "faulted", "delivered", "aborted", "retries", "thr/kt", "latency",
+        "N",
+        "k",
+        "fraction",
+        "faulted",
+        "delivered",
+        "aborted",
+        "retries",
+        "thr/kt",
+        "latency",
     ]);
     for r in rows {
         t.row(vec![

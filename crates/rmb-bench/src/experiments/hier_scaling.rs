@@ -108,7 +108,8 @@ pub fn hier_scaling_experiment(
         .generate(count, spread, &mut rng);
 
         let mut hier = HierNetwork::new(cfg);
-        hier.submit_all(msgs.iter().copied()).expect("valid workload");
+        hier.submit_all(msgs.iter().copied())
+            .expect("valid workload");
         let hr = hier.run_to_quiescence(64_000_000);
         let hier_row = HierScalingRow {
             topology: "hier".to_string(),
@@ -138,8 +139,12 @@ pub fn hier_scaling_experiment(
             .expect("valid flat ring");
         let mut flat = RmbNetwork::new(flat_cfg);
         flat.submit_all(msgs.iter().map(|m| {
-            MessageSpec::new(cfg.flatten(m.source), cfg.flatten(m.destination), m.data_flits)
-                .at(m.inject_at)
+            MessageSpec::new(
+                cfg.flatten(m.source),
+                cfg.flatten(m.destination),
+                m.data_flits,
+            )
+            .at(m.inject_at)
         }))
         .expect("valid flat workload");
         let fr = flat.run_to_quiescence(64_000_000);
@@ -171,7 +176,15 @@ pub fn hier_scaling_experiment(
 /// Renders hierarchical-scaling rows.
 pub fn hier_scaling_table(rows: &[HierScalingRow]) -> Table {
     let mut t = Table::new(vec![
-        "topology", "rings", "N/ring", "total", "k", "locality", "delivered", "makespan", "thr/kt",
+        "topology",
+        "rings",
+        "N/ring",
+        "total",
+        "k",
+        "locality",
+        "delivered",
+        "makespan",
+        "thr/kt",
         "latency",
     ]);
     for r in rows {

@@ -55,7 +55,8 @@ pub fn load_sweep(
         let mut net = RmbNetwork::builder(cfg)
             .log_retention(LogRetention::CountersOnly)
             .build();
-        net.submit_all(msgs.iter().copied()).expect("valid workload");
+        net.submit_all(msgs.iter().copied())
+            .expect("valid workload");
         let report = net.run_to_quiescence(window * 40 + 100_000);
         let delivered_flits = report.delivered as u64 * (u64::from(flits) + 2);
         LoadPoint {

@@ -26,11 +26,9 @@ pub use deadlock::{deadlock_study, DeadlockResult};
 pub use extensions::{
     grid_experiment, grid_table, hotspot_experiment, hotspot_table, multi_send_experiment,
     multi_send_table, multicast_experiment, multicast_table, wire_delay_experiment,
-    wire_delay_table, GridRow, HotspotRow, MulticastRow, MultiSendRow, WireDelayRow,
+    wire_delay_table, GridRow, HotspotRow, MultiSendRow, MulticastRow, WireDelayRow,
 };
-pub use fault_tolerance::{
-    fault_tolerance_experiment, fault_tolerance_table, FaultToleranceRow,
-};
+pub use fault_tolerance::{fault_tolerance_experiment, fault_tolerance_table, FaultToleranceRow};
 pub use hier_scaling::{hier_scaling_experiment, hier_scaling_table, HierScalingRow};
 pub use hier_throughput::{hier_throughput_experiment, hier_throughput_table, HierThroughputRow};
 pub use lemma1::{lemma1_experiment, Lemma1Result};

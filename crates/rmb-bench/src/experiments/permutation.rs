@@ -33,8 +33,7 @@ pub fn permutation_comparison(n: u32, k: u16, flits: u32, seed: u64) -> Vec<Perm
     assert_eq!(side * side, n, "comparison needs a perfect-square N");
 
     let suite = WorkloadSuite::new(
-        WorkloadConfig::new(n, seed)
-            .with_sizes(rmb_workloads::SizeDistribution::Fixed(flits)),
+        WorkloadConfig::new(n, seed).with_sizes(rmb_workloads::SizeDistribution::Fixed(flits)),
     );
     let kinds = [
         PermutationKind::Random,

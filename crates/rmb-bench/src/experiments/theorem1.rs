@@ -95,9 +95,9 @@ pub fn theorem1_experiment(n: u32, k: u16, trials: u32, seed: u64) -> Theorem1Re
         for _ in 0..50 {
             src = rng.index(n as usize).unwrap() as u32;
             dst = (src + 1 + rng.index((n - 1) as usize).unwrap() as u32) % n;
-            let busy_endpoint = net.virtual_buses().any(|b| {
-                b.spec.source.index() == src || b.spec.destination.index() == dst
-            });
+            let busy_endpoint = net
+                .virtual_buses()
+                .any(|b| b.spec.source.index() == src || b.spec.destination.index() == dst);
             if !busy_endpoint {
                 found = true;
                 break;
@@ -158,11 +158,7 @@ mod tests {
     fn feasible_probes_are_always_admitted() {
         let r = theorem1_experiment(12, 3, 40, 7);
         assert!(r.feasible_trials > 10, "{r:?}");
-        assert_eq!(
-            r.admission_rate(),
-            1.0,
-            "Theorem 1 violated: {r:?}"
-        );
+        assert_eq!(r.admission_rate(), 1.0, "Theorem 1 violated: {r:?}");
         assert!(r.mean_setup_latency > 0.0);
         assert!(r.table().len() >= 5);
     }

@@ -197,7 +197,10 @@ fn fig7_four_conditions() -> String {
         out,
         "\nUpstream register sequences (old port / new port), per Table 1:"
     );
-    for (name, dir) in [("straight in", SourceDir::Straight), ("low in", SourceDir::Below)] {
+    for (name, dir) in [
+        ("straight in", SourceDir::Straight),
+        ("low in", SourceDir::Below),
+    ] {
         if let Some(stages) = mbb_stages_upstream(dir) {
             let seq_old: Vec<String> = stages.iter().map(|s| s.old_port.to_string()).collect();
             let seq_new: Vec<String> = stages.iter().map(|s| s.new_port.to_string()).collect();
@@ -210,7 +213,10 @@ fn fig7_four_conditions() -> String {
         }
     }
     let _ = writeln!(out, "Downstream register sequences:");
-    for (name, dir) in [("straight out", SourceDir::Straight), ("down out", SourceDir::Below)] {
+    for (name, dir) in [
+        ("straight out", SourceDir::Straight),
+        ("down out", SourceDir::Below),
+    ] {
         if let Some(stages) = mbb_stages_downstream(dir) {
             let seq: Vec<String> = stages.iter().map(|s| s.old_port.to_string()).collect();
             let _ = writeln!(out, "  {name:<12} {}", seq.join(" -> "));
@@ -239,7 +245,11 @@ fn fig8_assessment_pattern() -> String {
         }
         let _ = writeln!(out);
     }
-    let _ = writeln!(out, "      {}", (0..n).map(|i| format!("{i} ")).collect::<String>());
+    let _ = writeln!(
+        out,
+        "      {}",
+        (0..n).map(|i| format!("{i} ")).collect::<String>()
+    );
     out
 }
 
@@ -254,10 +264,34 @@ fn fig10_state_machine_walk() -> String {
     let mut ctl = CycleController::new(Phase::Even);
     ctl.set_internal_done(true);
     let steps: [(&str, CycleFlags); 4] = [
-        ("neighbours idle (LD=LC=RD=RC=0)", CycleFlags { data: false, cycle: false }),
-        ("neighbours' datapaths done (LD=RD=1)", CycleFlags { data: true, cycle: false }),
-        ("neighbours' cycles changed (LC=RC=1)", CycleFlags { data: true, cycle: true }),
-        ("neighbours' data flags low (LD=RD=0)", CycleFlags { data: false, cycle: true }),
+        (
+            "neighbours idle (LD=LC=RD=RC=0)",
+            CycleFlags {
+                data: false,
+                cycle: false,
+            },
+        ),
+        (
+            "neighbours' datapaths done (LD=RD=1)",
+            CycleFlags {
+                data: true,
+                cycle: false,
+            },
+        ),
+        (
+            "neighbours' cycles changed (LC=RC=1)",
+            CycleFlags {
+                data: true,
+                cycle: true,
+            },
+        ),
+        (
+            "neighbours' data flags low (LD=RD=0)",
+            CycleFlags {
+                data: false,
+                cycle: true,
+            },
+        ),
     ];
     for (label, nb) in steps {
         let before = ctl.state();

@@ -122,8 +122,20 @@ use crate::experiments::{
     OpenLoopRow, PermutationRow, ScalingRow, SoakRow, Theorem1Result, WireDelayRow,
 };
 
-json_report!(AblationResult { variant, makespan, mean_latency, refusals, stalled });
-json_report!(CompetitivenessRow { workload, online, offline, lower_bound, ratio });
+json_report!(AblationResult {
+    variant,
+    makespan,
+    mean_latency,
+    refusals,
+    stalled
+});
+json_report!(CompetitivenessRow {
+    workload,
+    online,
+    offline,
+    lower_bound,
+    ratio
+});
 json_report!(DeadlockResult {
     n,
     k,
@@ -141,19 +153,54 @@ json_report!(Lemma1Result {
     threaded_min_transitions,
     bound_held,
 });
-json_report!(LoadPoint { offered, messages, delivered, throughput, mean_latency, utilization });
-json_report!(PermutationRow { network, permutation, messages, makespan, mean_latency, stalled });
-json_report!(ScalingRow { n, network, makespan });
+json_report!(LoadPoint {
+    offered,
+    messages,
+    delivered,
+    throughput,
+    mean_latency,
+    utilization
+});
+json_report!(PermutationRow {
+    network,
+    permutation,
+    messages,
+    makespan,
+    mean_latency,
+    stalled
+});
+json_report!(ScalingRow {
+    n,
+    network,
+    makespan
+});
 json_report!(Theorem1Result {
     feasible_trials,
     admitted_without_refusal,
     infeasible_trials,
     mean_setup_latency,
 });
-json_report!(HotspotRow { receives, delivered, hot_latency, refusals });
-json_report!(MulticastRow { group, multicast, unicast_series });
-json_report!(WireDelayRow { network, unit_wires, layout_wires });
-json_report!(GridRow { network, segments, makespan });
+json_report!(HotspotRow {
+    receives,
+    delivered,
+    hot_latency,
+    refusals
+});
+json_report!(MulticastRow {
+    group,
+    multicast,
+    unicast_series
+});
+json_report!(WireDelayRow {
+    network,
+    unit_wires,
+    layout_wires
+});
+json_report!(GridRow {
+    network,
+    segments,
+    makespan
+});
 json_report!(MultiSendRow { sends, makespan });
 json_report!(HierScalingRow {
     topology,

@@ -23,7 +23,11 @@ pub fn table1() -> Table {
 pub fn table2() -> Table {
     let mut t = Table::new(vec!["mnemonic", "kind", "interpretation"]);
     for (mnemonic, kind, interp) in CycleController::table2() {
-        t.row(vec![mnemonic.to_owned(), kind.to_owned(), interp.to_owned()]);
+        t.row(vec![
+            mnemonic.to_owned(),
+            kind.to_owned(),
+            interp.to_owned(),
+        ]);
     }
     t
 }

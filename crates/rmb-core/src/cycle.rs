@@ -42,12 +42,7 @@ pub struct CycleFlags {
 
 impl fmt::Display for CycleFlags {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "OD={} OC={}",
-            u8::from(self.data),
-            u8::from(self.cycle)
-        )
+        write!(f, "OD={} OC={}", u8::from(self.data), u8::from(self.cycle))
     }
 }
 

@@ -211,4 +211,3 @@ pub fn check_network(net: &RmbNetwork) -> Result<(), InvariantViolation> {
 
     Ok(())
 }
-

@@ -113,8 +113,8 @@ impl RmbNetwork {
                 self.fault_kill(id, "destination INC is dead");
                 return;
             }
-            let accept = self.nodes[dst.as_usize()].receives_active
-                < self.cfg.node.max_concurrent_receives;
+            let accept =
+                self.nodes[dst.as_usize()].receives_active < self.cfg.node.max_concurrent_receives;
             if accept {
                 self.buses
                     .set_state(id, BusState::AwaitingHack { hops_left: span });

@@ -58,11 +58,11 @@ impl RmbNetwork {
                         && 2 * span <= u64::from(s.window)
                         && s.unacked() < s.window
                     {
-                        let nd = u64::from(s.delivered)
-                            .max(now.saturating_sub(s.circuit_at + span));
+                        let nd =
+                            u64::from(s.delivered).max(now.saturating_sub(s.circuit_at + span));
                         s.delivered = u64::from(s.next_seq).min(nd) as u32;
-                        let na = u64::from(s.acked)
-                            .max(now.saturating_sub(s.circuit_at + 2 * span));
+                        let na =
+                            u64::from(s.acked).max(now.saturating_sub(s.circuit_at + 2 * span));
                         s.acked = u64::from(s.next_seq).min(na) as u32;
                         debug_assert_eq!(now, s.send_tick(s.next_seq), "send recurrence");
                         s.next_seq += 1;
@@ -90,9 +90,8 @@ impl RmbNetwork {
             let mut start_streaming = false;
             let mut completed = None;
             match state {
-                BusState::Establishing
-                | BusState::TearingDown { .. }
-                | BusState::Nacked { .. } => {}
+                BusState::Establishing | BusState::TearingDown { .. } | BusState::Nacked { .. } => {
+                }
                 BusState::AwaitingHack { hops_left } => {
                     let hops_left = hops_left - 1;
                     start_streaming = hops_left == 0;
@@ -109,18 +108,16 @@ impl RmbNetwork {
                         // and both counters catch up in closed form — the
                         // min/max pair lands exactly where the loops below
                         // stop, compiled to cmovs instead of branches.
-                        let nd = u64::from(s.delivered)
-                            .max(now.saturating_sub(s.circuit_at + span));
+                        let nd =
+                            u64::from(s.delivered).max(now.saturating_sub(s.circuit_at + span));
                         let nd = u64::from(s.next_seq).min(nd) as u32;
-                        let na = u64::from(s.acked)
-                            .max(now.saturating_sub(s.circuit_at + 2 * span));
+                        let na =
+                            u64::from(s.acked).max(now.saturating_sub(s.circuit_at + 2 * span));
                         s.acked = u64::from(s.next_seq).min(na) as u32;
                         progressed |= nd != s.delivered;
                         s.delivered = nd;
                     } else {
-                        while s.delivered < s.next_seq
-                            && now >= s.send_tick(s.delivered) + span
-                        {
+                        while s.delivered < s.next_seq && now >= s.send_tick(s.delivered) + span {
                             s.delivered += 1;
                             progressed = true;
                         }
@@ -179,9 +176,7 @@ impl RmbNetwork {
                     self.release(hop, height);
                     let new_freed = freed + 1;
                     state = match state {
-                        BusState::TearingDown { .. } => {
-                            BusState::TearingDown { freed: new_freed }
-                        }
+                        BusState::TearingDown { .. } => BusState::TearingDown { freed: new_freed },
                         BusState::Nacked { .. } => BusState::Nacked { freed: new_freed },
                         _ => unreachable!("teardown state checked above"),
                     };

@@ -309,7 +309,9 @@ mod tests {
     fn build_rejects_wrong_period_count() {
         let cfg = RmbConfig::new(8, 2).unwrap();
         let _ = RmbNetworkBuilder::new(cfg)
-            .compaction_mode(CompactionMode::Handshake { periods: vec![1; 3] })
+            .compaction_mode(CompactionMode::Handshake {
+                periods: vec![1; 3],
+            })
             .build();
     }
 
@@ -318,7 +320,9 @@ mod tests {
     fn build_rejects_zero_periods() {
         let cfg = RmbConfig::new(4, 2).unwrap();
         let _ = RmbNetworkBuilder::new(cfg)
-            .compaction_mode(CompactionMode::Handshake { periods: vec![1, 0, 1, 1] })
+            .compaction_mode(CompactionMode::Handshake {
+                periods: vec![1, 0, 1, 1],
+            })
             .build();
     }
 

@@ -167,7 +167,9 @@ impl PortStatus {
 
     /// Iterates over the directions currently driving this port.
     pub fn sources(self) -> impl Iterator<Item = SourceDir> {
-        SourceDir::ALL.into_iter().filter(move |d| self.receives(*d))
+        SourceDir::ALL
+            .into_iter()
+            .filter(move |d| self.receives(*d))
     }
 
     /// The interpretation string Table 1 prints for this code.
@@ -300,7 +302,10 @@ mod tests {
     fn display_is_three_bit_binary() {
         assert_eq!(PortStatus::from_bits(0b100).unwrap().to_string(), "100");
         assert_eq!(PortStatus::UNUSED.to_string(), "000");
-        assert_eq!(format!("{:b}", PortStatus::from_bits(0b110).unwrap()), "110");
+        assert_eq!(
+            format!("{:b}", PortStatus::from_bits(0b110).unwrap()),
+            "110"
+        );
     }
 
     #[test]

@@ -59,10 +59,7 @@ impl BusState {
 
     /// `true` before the header acknowledgement has returned.
     pub const fn pre_hack(&self) -> bool {
-        matches!(
-            self,
-            BusState::Establishing | BusState::AwaitingHack { .. }
-        )
+        matches!(self, BusState::Establishing | BusState::AwaitingHack { .. })
     }
 }
 

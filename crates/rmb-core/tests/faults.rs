@@ -79,9 +79,17 @@ fn live_circuit_routes_around_permanent_fault() {
     net.run(60);
     let bus = net.virtual_buses().next().expect("circuit is live");
     // Hop index 2 of a circuit from node 0 crosses the faulted segment.
-    assert_eq!(bus.heights[2], BusIndex::new(1), "heights: {:?}", bus.heights);
+    assert_eq!(
+        bus.heights[2],
+        BusIndex::new(1),
+        "heights: {:?}",
+        bus.heights
+    );
     assert!(
-        bus.heights.iter().enumerate().all(|(j, h)| j == 2 || *h == BusIndex::new(0)),
+        bus.heights
+            .iter()
+            .enumerate()
+            .all(|(j, h)| j == 2 || *h == BusIndex::new(0)),
         "unfaulted hops compact to the bottom: {:?}",
         bus.heights
     );
@@ -116,8 +124,14 @@ fn dead_source_refuses_injection_until_repair() {
     net.submit(msg(0, 3, 2)).unwrap();
     let report = net.run_to_quiescence(100_000);
     assert_eq!(report.delivered, 1, "stalled={}", report.stalled);
-    assert!(report.refusals >= 1, "injection refused while the INC is down");
-    assert!(net.delivered_log()[0].circuit_at >= 200, "only after repair");
+    assert!(
+        report.refusals >= 1,
+        "injection refused while the INC is down"
+    );
+    assert!(
+        net.delivered_log()[0].circuit_at >= 200,
+        "only after repair"
+    );
 }
 
 #[test]
@@ -196,7 +210,11 @@ fn build_plan(n: u32, k: u16, raw: &[RawFault]) -> FaultPlan {
     for &(kind, at, node, bus, outage) in raw {
         let at = at % 2_000;
         let node = NodeId::new(node % n);
-        let repair = if outage % 3 == 0 { None } else { Some(at + 1 + outage % 600) };
+        let repair = if outage % 3 == 0 {
+            None
+        } else {
+            Some(at + 1 + outage % 600)
+        };
         plan = match kind % 4 {
             0 | 1 => plan.segment_stuck(at, node, BusIndex::new(bus % k), repair),
             2 => plan.link_cut(at, node, repair),

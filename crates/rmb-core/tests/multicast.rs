@@ -103,7 +103,8 @@ fn broadcast_to_all_other_nodes() {
     let n = 10u32;
     let mut net = net(n, 2);
     let everyone: Vec<NodeId> = (1..n).map(NodeId::new).collect();
-    net.submit_multicast(NodeId::new(0), &everyone, 8, 0).unwrap();
+    net.submit_multicast(NodeId::new(0), &everyone, 8, 0)
+        .unwrap();
     let report = net.run_to_quiescence(100_000);
     assert_eq!(report.delivered, (n - 1) as usize);
     assert_eq!(report.undelivered, 0);

@@ -255,7 +255,10 @@ fn early_compaction_ablation_freezes_pre_hack_buses() {
     let moves_late = late.report().compaction_moves;
 
     assert!(moves_early > 0, "early compaction moves pre-Hack hops");
-    assert_eq!(moves_late, 0, "late compaction must not touch pre-Hack hops");
+    assert_eq!(
+        moves_late, 0,
+        "late compaction must not touch pre-Hack hops"
+    );
 }
 
 #[test]
@@ -401,11 +404,9 @@ fn saturation_with_head_timeout_eventually_drains() {
     }
     let report = net.run_to_quiescence(1_000_000);
     assert_eq!(
-        report.delivered,
-        n as usize,
+        report.delivered, n as usize,
         "stalled={} refusals={}",
-        report.stalled,
-        report.refusals
+        report.stalled, report.refusals
     );
     assert!(!report.stalled);
     assert!(report.mean_utilization > 0.0);
@@ -418,7 +419,8 @@ fn moderate_load_drains_without_timeout() {
     let n = 16u32;
     let mut net = net(n, 4);
     for s in 0..n {
-        net.submit(msg(s, (s + n / 2) % n, 8).at(s as u64 * 40)).unwrap();
+        net.submit(msg(s, (s + n / 2) % n, 8).at(s as u64 * 40))
+            .unwrap();
     }
     let report = net.run_to_quiescence(1_000_000);
     assert_eq!(report.delivered, n as usize, "stalled={}", report.stalled);
@@ -522,5 +524,4 @@ mod builder_misuse {
         let cfg2 = b.build().unwrap();
         assert!(cfg2.compaction);
     }
-
 }

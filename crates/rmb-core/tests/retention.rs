@@ -28,7 +28,9 @@ fn workload(n: u32, count: usize, seed: u64) -> Vec<MessageSpec> {
 }
 
 fn run(policy: LogRetention) -> RmbNetwork {
-    let mut net = RmbNetwork::builder(cfg(16, 2)).log_retention(policy).build();
+    let mut net = RmbNetwork::builder(cfg(16, 2))
+        .log_retention(policy)
+        .build();
     net.submit_all(workload(16, 200, 42)).unwrap();
     net.run_to_quiescence(1_000_000);
     net
@@ -76,7 +78,9 @@ fn counters_only_retains_nothing() {
     assert!(net.aborted_log().is_empty());
     assert_eq!(net.delivered_total(), 200);
     // A cursor at the current total yields the (empty) future.
-    assert!(net.delivered_since(net.delivered_total() as usize).is_empty());
+    assert!(net
+        .delivered_since(net.delivered_total() as usize)
+        .is_empty());
 }
 
 #[test]

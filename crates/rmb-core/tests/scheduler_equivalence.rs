@@ -34,7 +34,11 @@ fn build_plan(n: u32, k: u16, raw: &[RawFault]) -> FaultPlan {
     for &(kind, at, node, bus, outage) in raw {
         let at = at % 2_000;
         let node = NodeId::new(node % n);
-        let repair = if outage % 3 == 0 { None } else { Some(at + 1 + outage % 600) };
+        let repair = if outage % 3 == 0 {
+            None
+        } else {
+            Some(at + 1 + outage % 600)
+        };
         plan = match kind % 4 {
             0 | 1 => plan.segment_stuck(at, node, BusIndex::new(bus % k), repair),
             2 => plan.link_cut(at, node, repair),
@@ -75,9 +79,21 @@ fn observe(
     let log = net
         .delivered_log()
         .iter()
-        .map(|d| (d.request.get(), d.requested_at, d.circuit_at, d.delivered_at, d.refusals))
+        .map(|d| {
+            (
+                d.request.get(),
+                d.requested_at,
+                d.circuit_at,
+                d.delivered_at,
+                d.refusals,
+            )
+        })
         .collect();
-    Observed { report, log, events: net.take_events() }
+    Observed {
+        report,
+        log,
+        events: net.take_events(),
+    }
 }
 
 /// Asserts byte-identical behaviour of the event engine and the dense
@@ -115,14 +131,23 @@ fn assert_equivalent(
     prop_assert_eq!(ev.report.stalled, dn.report.stalled);
     prop_assert_eq!(ev.report.peak_virtual_buses, dn.report.peak_virtual_buses);
     prop_assert_eq!(ev.report.makespan(), dn.report.makespan());
-    prop_assert_eq!(ev.report.mean_latency().to_bits(), dn.report.mean_latency().to_bits());
-    prop_assert_eq!(ev.report.mean_setup_latency().to_bits(), dn.report.mean_setup_latency().to_bits());
+    prop_assert_eq!(
+        ev.report.mean_latency().to_bits(),
+        dn.report.mean_latency().to_bits()
+    );
+    prop_assert_eq!(
+        ev.report.mean_setup_latency().to_bits(),
+        dn.report.mean_setup_latency().to_bits()
+    );
     prop_assert_eq!(ev.report.recovered(), dn.report.recovered());
     prop_assert_eq!(
         ev.report.mean_time_to_recover().to_bits(),
         dn.report.mean_time_to_recover().to_bits()
     );
-    prop_assert_eq!(ev.report.max_time_to_recover(), dn.report.max_time_to_recover());
+    prop_assert_eq!(
+        ev.report.max_time_to_recover(),
+        dn.report.max_time_to_recover()
+    );
     // Both engines sample utilisation at the same ticks with the same
     // occupancy, so even the floating-point mean matches bit for bit.
     prop_assert_eq!(
@@ -190,19 +215,25 @@ proptest! {
 #[test]
 fn engines_agree_on_multicast() {
     let cfg = RmbConfig::new(12, 3).unwrap();
-    assert_equivalent(cfg, CompactionMode::Synchronous, &FaultPlan::new(), 1, &|net| {
-        net.submit_multicast(
-            NodeId::new(0),
-            &[NodeId::new(3), NodeId::new(6), NodeId::new(9)],
-            40,
-            0,
-        )
-        .unwrap();
-        net.submit_multicast(NodeId::new(5), &[NodeId::new(7), NodeId::new(10)], 12, 30)
+    assert_equivalent(
+        cfg,
+        CompactionMode::Synchronous,
+        &FaultPlan::new(),
+        1,
+        &|net| {
+            net.submit_multicast(
+                NodeId::new(0),
+                &[NodeId::new(3), NodeId::new(6), NodeId::new(9)],
+                40,
+                0,
+            )
             .unwrap();
-        net.submit(MessageSpec::new(NodeId::new(2), NodeId::new(8), 16))
-            .unwrap();
-    })
+            net.submit_multicast(NodeId::new(5), &[NodeId::new(7), NodeId::new(10)], 12, 30)
+                .unwrap();
+            net.submit(MessageSpec::new(NodeId::new(2), NodeId::new(8), 16))
+                .unwrap();
+        },
+    )
     .unwrap();
 }
 
@@ -219,8 +250,11 @@ fn engines_agree_with_windowed_acks_and_early_compaction() {
         .inc_dead(300, NodeId::new(7), Some(380));
     assert_equivalent(cfg, CompactionMode::Synchronous, &plan, 7, &|net| {
         for s in 0..10u32 {
-            net.submit(MessageSpec::new(NodeId::new(s), NodeId::new((s + 4) % 10), 30).at(u64::from(s) * 7))
-                .unwrap();
+            net.submit(
+                MessageSpec::new(NodeId::new(s), NodeId::new((s + 4) % 10), 30)
+                    .at(u64::from(s) * 7),
+            )
+            .unwrap();
         }
     })
     .unwrap();
@@ -243,9 +277,15 @@ fn engines_agree_on_a_uniform_batch() {
             MessageSpec::new(NodeId::new(src), NodeId::new(dst), 6).at(rng.next_u64() % 200)
         })
         .collect();
-    assert_equivalent(cfg, CompactionMode::Synchronous, &FaultPlan::new(), 0, &|net| {
-        net.submit_all(msgs.clone()).unwrap();
-    })
+    assert_equivalent(
+        cfg,
+        CompactionMode::Synchronous,
+        &FaultPlan::new(),
+        0,
+        &|net| {
+            net.submit_all(msgs.clone()).unwrap();
+        },
+    )
     .unwrap();
 }
 
@@ -260,20 +300,28 @@ fn engines_agree_when_submitting_between_ticks() {
         .build()
         .unwrap();
     for rate in [0.002, 0.006] {
-        assert_equivalent(cfg, CompactionMode::Synchronous, &FaultPlan::new(), 42, &|net| {
-            let mut rng = SimRng::seed(42);
-            for _ in 0..3_000 {
-                for src in 0..n {
-                    if rng.chance(rate) {
-                        let dst = (src + 1 + rng.next_u32() % (n - 1)) % n;
-                        let at = net.now().get();
-                        net.submit(MessageSpec::new(NodeId::new(src), NodeId::new(dst), 8).at(at))
+        assert_equivalent(
+            cfg,
+            CompactionMode::Synchronous,
+            &FaultPlan::new(),
+            42,
+            &|net| {
+                let mut rng = SimRng::seed(42);
+                for _ in 0..3_000 {
+                    for src in 0..n {
+                        if rng.chance(rate) {
+                            let dst = (src + 1 + rng.next_u32() % (n - 1)) % n;
+                            let at = net.now().get();
+                            net.submit(
+                                MessageSpec::new(NodeId::new(src), NodeId::new(dst), 8).at(at),
+                            )
                             .unwrap();
+                        }
                     }
+                    net.tick();
                 }
-                net.tick();
-            }
-        })
+            },
+        )
         .unwrap();
     }
 }
@@ -284,8 +332,10 @@ fn engines_agree_without_compaction_and_without_fast_forward() {
     // off forces every idle tick through the full phase sequence.
     let cfg = RmbConfig::builder(8, 2).compaction(false).build().unwrap();
     let drive: &dyn Fn(&mut RmbNetwork) = &|net| {
-        net.submit(MessageSpec::new(NodeId::new(0), NodeId::new(5), 20)).unwrap();
-        net.submit(MessageSpec::new(NodeId::new(2), NodeId::new(6), 8).at(400)).unwrap();
+        net.submit(MessageSpec::new(NodeId::new(0), NodeId::new(5), 20))
+            .unwrap();
+        net.submit(MessageSpec::new(NodeId::new(2), NodeId::new(6), 8).at(400))
+            .unwrap();
     };
     let run = |mode: SchedulerMode| {
         let mut net = RmbNetwork::builder(cfg)
@@ -296,7 +346,15 @@ fn engines_agree_without_compaction_and_without_fast_forward() {
             .build();
         drive(&mut net);
         let report = net.run_to_quiescence(100_000);
-        (report.ticks, report.delivered, report.compaction_moves, net.take_events())
+        (
+            report.ticks,
+            report.delivered,
+            report.compaction_moves,
+            net.take_events(),
+        )
     };
-    assert_eq!(run(SchedulerMode::EventDriven), run(SchedulerMode::DenseSweep));
+    assert_eq!(
+        run(SchedulerMode::EventDriven),
+        run(SchedulerMode::DenseSweep)
+    );
 }

@@ -8,8 +8,12 @@ use rmb_types::{AckMode, MessageSpec, NodeId, RmbConfig};
 fn run_one(n: u32, k: u16, span_dst: u32, flits: u32, mode: AckMode) -> (u64, u64) {
     let cfg = RmbConfig::builder(n, k).ack_mode(mode).build().unwrap();
     let mut net = RmbNetwork::builder(cfg).checked(true).build();
-    net.submit(MessageSpec::new(NodeId::new(0), NodeId::new(span_dst), flits))
-        .unwrap();
+    net.submit(MessageSpec::new(
+        NodeId::new(0),
+        NodeId::new(span_dst),
+        flits,
+    ))
+    .unwrap();
     let report = net.run_to_quiescence(1_000_000);
     assert_eq!(report.delivered, 1);
     let d = &net.delivered_log()[0];

@@ -86,7 +86,8 @@ mod tests {
             16,
         );
         // Leg spans: n3→n0 = 13, r0→r2 = 2, n0→n9 = 9.
-        let want = leg_delivery_ticks(13, 16) + leg_delivery_ticks(2, 16)
+        let want = leg_delivery_ticks(13, 16)
+            + leg_delivery_ticks(2, 16)
             + leg_delivery_ticks(9, 16)
             + 2 * BRIDGE_DWELL_TICKS;
         assert_eq!(unloaded_latency(&cfg(), &spec), want);

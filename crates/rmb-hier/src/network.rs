@@ -616,7 +616,10 @@ impl Router for Hier {
             }
             // Leg 2: across the global ring, into the down queue.
             (HierLeg::Global, _) => {
-                let (a, b) = (from.expect("global legs leave a bridge"), to.expect("global legs enter a bridge"));
+                let (a, b) = (
+                    from.expect("global legs leave a bridge"),
+                    to.expect("global legs enter a bridge"),
+                );
                 self.bridges[a as usize].up_in_transit -= 1;
                 self.bridges[b as usize].down_reserved -= 1;
                 self.bridges[b as usize].down.push_back(id);
@@ -969,8 +972,12 @@ mod tests {
             .unwrap();
         let mut net = HierNetwork::builder(cfg).checked(true).build();
         for i in 0..10u32 {
-            net.submit(HierMessageSpec::new(addr(0, 1 + i % 7), addr(1, 1 + (i + 2) % 7), 8))
-                .unwrap();
+            net.submit(HierMessageSpec::new(
+                addr(0, 1 + i % 7),
+                addr(1, 1 + (i + 2) % 7),
+                8,
+            ))
+            .unwrap();
         }
         let report = net.run_to_quiescence(1_000_000);
         assert_eq!(report.delivered, 10);
@@ -994,10 +1001,17 @@ mod tests {
 
     #[test]
     fn intra_ring_traffic_never_touches_bridges() {
-        let mut net = HierNetwork::builder(small()).recording(true).checked(true).build();
+        let mut net = HierNetwork::builder(small())
+            .recording(true)
+            .checked(true)
+            .build();
         for i in 0..6u32 {
-            net.submit(HierMessageSpec::new(addr(1, 1 + i), addr(1, 1 + (i + 2) % 7), 4))
-                .unwrap();
+            net.submit(HierMessageSpec::new(
+                addr(1, 1 + i),
+                addr(1, 1 + (i + 2) % 7),
+                4,
+            ))
+            .unwrap();
         }
         let report = net.run_to_quiescence(10_000);
         assert_eq!(report.delivered, 6);

@@ -32,7 +32,9 @@ fn four_ring_workload_survives_faults_with_zero_loss() {
         outage: Some(400),
     };
     let mut rng = SimRng::seed(0xFA);
-    let mut builder = HierNetwork::builder(four_rings()).checked(true).fault_seed(7);
+    let mut builder = HierNetwork::builder(four_rings())
+        .checked(true)
+        .fault_seed(7);
     for r in 0..4 {
         builder = builder.local_fault_plan(r, scenario.draw(16, 4, &mut rng));
     }

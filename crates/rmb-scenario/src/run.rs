@@ -168,8 +168,18 @@ fn render_table(
         .map_or_else(|| "-".to_string(), |x| x.to_string());
     let stalled = v.get("stalled").and_then(Value::as_bool).unwrap_or(false);
     let mut t = Table::new(vec![
-        "scenario", "topology", "workload", "mode", "ticks", "delivered", "aborted", "shed",
-        "refusals", "stalled", "mean-lat", "p99",
+        "scenario",
+        "topology",
+        "workload",
+        "mode",
+        "ticks",
+        "delivered",
+        "aborted",
+        "shed",
+        "refusals",
+        "stalled",
+        "mean-lat",
+        "p99",
     ]);
     t.row(vec![
         name.to_string(),
@@ -279,11 +289,7 @@ fn build_hier(s: &Scenario) -> Result<HierNetwork, ScenarioError> {
 // ---------------------------------------------------------------------------
 
 /// Flat-indexed batch message set for a topology with `n` endpoints.
-fn batch_messages(
-    s: &Scenario,
-    n: u32,
-    base: &Path,
-) -> Result<Vec<MessageSpec>, ScenarioError> {
+fn batch_messages(s: &Scenario, n: u32, base: &Path) -> Result<Vec<MessageSpec>, ScenarioError> {
     match &s.workload {
         Workload::Uniform {
             messages,
@@ -332,14 +338,14 @@ fn batch_messages(
             }
             Ok(specs)
         }
-        other => unreachable!("validation bars `{}` from batch flat runs", other.kind_name()),
+        other => unreachable!(
+            "validation bars `{}` from batch flat runs",
+            other.kind_name()
+        ),
     }
 }
 
-fn run_batch(
-    s: &Scenario,
-    base: &Path,
-) -> Result<(String, Option<RecordedTrace>), ScenarioError> {
+fn run_batch(s: &Scenario, base: &Path) -> Result<(String, Option<RecordedTrace>), ScenarioError> {
     match &s.topology {
         Topology::Flat { nodes, .. } => {
             let msgs = batch_messages(s, *nodes, base)?;
@@ -416,7 +422,11 @@ fn run_baseline_batch(
     let stats = OutcomeStats {
         ticks: outcome.ticks,
         delivered: outcome.delivered.len() as u64,
-        refusals: outcome.delivered.iter().map(|d| u64::from(d.refusals)).sum(),
+        refusals: outcome
+            .delivered
+            .iter()
+            .map(|d| u64::from(d.refusals))
+            .sum(),
         stalled: outcome.stalled,
         latency: LatencySummary::exact_from(&latencies),
     };
@@ -471,12 +481,9 @@ fn run_serve(s: &Scenario, opts: &ServeOptions) -> Result<String, ScenarioError>
     };
 
     let mut report = match &s.workload {
-        Workload::Poisson { .. } => serve_with_policy(
-            target.as_mut(),
-            &mut PoissonStream::new(rate),
-            &cfg,
-            policy,
-        ),
+        Workload::Poisson { .. } => {
+            serve_with_policy(target.as_mut(), &mut PoissonStream::new(rate), &cfg, policy)
+        }
         Workload::Bursty { burst, .. } => serve_with_policy(
             target.as_mut(),
             &mut BurstyStream::new(rate, *burst),
@@ -550,7 +557,11 @@ stagger = 4
         )
         .unwrap();
         let out = run_scenario(&s, base()).unwrap();
-        assert!(out.stats_json.contains("\"delivered\":72"), "{}", out.stats_json);
+        assert!(
+            out.stats_json.contains("\"delivered\":72"),
+            "{}",
+            out.stats_json
+        );
     }
 
     #[test]

@@ -415,7 +415,9 @@ impl FaultSpec {
                 BusIndex::new(bus),
                 self.repair_at,
             ),
-            FaultKindSpec::LinkCut { hop } => plan.link_cut(self.at, NodeId::new(hop), self.repair_at),
+            FaultKindSpec::LinkCut { hop } => {
+                plan.link_cut(self.at, NodeId::new(hop), self.repair_at)
+            }
             FaultKindSpec::IncDead { node } => {
                 plan.inc_dead(self.at, NodeId::new(node), self.repair_at)
             }
@@ -680,12 +682,10 @@ fn decode_scenario(root: &TomlTable) -> Result<Scenario, ScenarioError> {
 
     // Streaming workloads need a [serve] section; batch workloads must
     // not have one.
-    let workload_line = root
-        .get("workload")
-        .map_or(0, |s| match &s.value {
-            TomlValue::Table(t) => t.line_of_kind(),
-            _ => s.line,
-        });
+    let workload_line = root.get("workload").map_or(0, |s| match &s.value {
+        TomlValue::Table(t) => t.line_of_kind(),
+        _ => s.line,
+    });
     if workload.is_streaming() && serve.is_none() {
         return Err(ScenarioError::at(
             workload_line,
@@ -1101,9 +1101,7 @@ fn decode_engine(table: &TomlTable, topology: &Topology) -> Result<Engine, Scena
                 }
                 "window" => match window {
                     Some((w, _)) if w >= 1 => Retention::Window(w),
-                    Some((_, wl)) => {
-                        return Err(sec.range_err("window", wl, "must be at least 1"))
-                    }
+                    Some((_, wl)) => return Err(sec.range_err("window", wl, "must be at least 1")),
                     None => {
                         return Err(sec.range_err(
                             "retention",
@@ -1452,14 +1450,17 @@ fn decode_faults(
                             Topology::Hier { rings, .. } => *rings,
                             _ => unreachable!("is_hier checked"),
                         };
-                        let r = u32::try_from(*i).ok().filter(|r| *r < rings).ok_or_else(|| {
-                            ScenarioError::at(
-                                s.line,
-                                format!(
-                                    "key `fault.ring`: ring index {i} is outside 0..{rings}"
-                                ),
-                            )
-                        })?;
+                        let r = u32::try_from(*i)
+                            .ok()
+                            .filter(|r| *r < rings)
+                            .ok_or_else(|| {
+                                ScenarioError::at(
+                                    s.line,
+                                    format!(
+                                        "key `fault.ring`: ring index {i} is outside 0..{rings}"
+                                    ),
+                                )
+                            })?;
                         Some(RingSel::Local(r))
                     }
                     TomlValue::Str(txt) if txt == "global" => Some(RingSel::Global),
@@ -1806,7 +1807,10 @@ flits = 8
     fn unknown_key_names_key_and_line() {
         let bad = FLAT.replace("nodes = 16", "nodes = 16\nnoodles = 7");
         let err = parse_scenario(&bad).unwrap_err();
-        assert!(err.message.contains("unknown key `topology.noodles`"), "{err}");
+        assert!(
+            err.message.contains("unknown key `topology.noodles`"),
+            "{err}"
+        );
         assert_eq!(err.line, 8);
     }
 

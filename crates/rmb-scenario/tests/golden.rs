@@ -26,7 +26,10 @@ fn run(s: &Scenario) -> ScenarioOutcome {
 /// The envelope the `experiments` binary prints (trailing newline from
 /// `println!` included).
 fn envelope(out: &ScenarioOutcome) -> String {
-    format!("{{\"experiment\": \"scenario\", \"rows\": [{}]}}\n", out.row_json)
+    format!(
+        "{{\"experiment\": \"scenario\", \"rows\": [{}]}}\n",
+        out.row_json
+    )
 }
 
 #[test]

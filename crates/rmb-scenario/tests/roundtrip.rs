@@ -108,7 +108,10 @@ fn gen_batch_workload(rng: &mut TestRng) -> Workload {
             stagger: below(rng, 100),
         },
         _ => Workload::Trace {
-            path: format!("traces/{}.trace.json", gen_name(rng).replace(['"', '\\'], "q")),
+            path: format!(
+                "traces/{}.trace.json",
+                gen_name(rng).replace(['"', '\\'], "q")
+            ),
         },
     }
 }
@@ -246,10 +249,12 @@ fn gen_scenario(rng: &mut TestRng) -> Scenario {
             for _ in 0..below(rng, 3) {
                 if chance(rng, 70) {
                     let r = below(rng, u64::from(rings)) as u32;
-                    s.faults.push(gen_fault(rng, npr, buses, Some(RingSel::Local(r))));
+                    s.faults
+                        .push(gen_fault(rng, npr, buses, Some(RingSel::Local(r))));
                 } else {
                     let gk = global.unwrap_or(buses);
-                    s.faults.push(gen_fault(rng, rings, gk, Some(RingSel::Global)));
+                    s.faults
+                        .push(gen_fault(rng, rings, gk, Some(RingSel::Global)));
                 }
             }
         }

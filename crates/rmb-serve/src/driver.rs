@@ -319,7 +319,10 @@ pub fn serve_with_policy(
                 };
                 let dest = match policy {
                     DestinationPolicy::Uniform => uniform_other(&mut rng),
-                    DestinationPolicy::Hotspot { node: hot, fraction } => {
+                    DestinationPolicy::Hotspot {
+                        node: hot,
+                        fraction,
+                    } => {
                         if node != hot && rng.chance(fraction.clamp(0.0, 1.0)) {
                             hot
                         } else {

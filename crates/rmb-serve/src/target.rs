@@ -158,7 +158,9 @@ impl ServeTarget for FlatTarget {
     fn submit(&mut self, source: u32, dest: u32, flits: u32) {
         let spec = MessageSpec::new(NodeId::new(source), NodeId::new(dest), flits)
             .at(self.net.now().get());
-        self.net.submit(spec).expect("driver submits valid messages");
+        self.net
+            .submit(spec)
+            .expect("driver submits valid messages");
         self.submitted += 1;
     }
 
@@ -277,9 +279,11 @@ impl ServeTarget for HierTarget {
     }
 
     fn submit(&mut self, source: u32, dest: u32, flits: u32) {
-        let spec = HierMessageSpec::new(self.addr(source), self.addr(dest), flits)
-            .at(self.net.now());
-        self.net.submit(spec).expect("driver submits valid messages");
+        let spec =
+            HierMessageSpec::new(self.addr(source), self.addr(dest), flits).at(self.net.now());
+        self.net
+            .submit(spec)
+            .expect("driver submits valid messages");
         self.submitted += 1;
     }
 

@@ -16,9 +16,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(t, Tick::new(15));
 /// assert_eq!(t - Tick::new(10), 5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Tick(u64);
 
 impl Tick {

@@ -281,7 +281,11 @@ mod tests {
             let got = q.quantile(phi).unwrap();
             let err = rank_error(&samples, got, phi);
             // 2x the per-target epsilon absorbs the query-side slack.
-            assert!(err <= 2.0 * eps, "phi {phi}: rank error {err} > {}", 2.0 * eps);
+            assert!(
+                err <= 2.0 * eps,
+                "phi {phi}: rank error {err} > {}",
+                2.0 * eps
+            );
         }
     }
 
@@ -305,7 +309,11 @@ mod tests {
         for &(phi, eps) in &[(0.5, 0.01), (0.99, 0.001), (0.999, 0.0005)] {
             let got = q.quantile(phi).unwrap();
             let err = rank_error(&samples, got, phi);
-            assert!(err <= 2.0 * eps, "phi {phi}: rank error {err} > {}", 2.0 * eps);
+            assert!(
+                err <= 2.0 * eps,
+                "phi {phi}: rank error {err} > {}",
+                2.0 * eps
+            );
         }
     }
 
@@ -323,7 +331,10 @@ mod tests {
             let p99 = q.quantile(0.99).unwrap();
             let want = exact(&mut vals, 0.99);
             let diff = p99.abs_diff(want) as f64 / 20_000.0;
-            assert!(diff <= 0.002, "reverse={reverse}: p99 {p99} vs exact {want}");
+            assert!(
+                diff <= 0.002,
+                "reverse={reverse}: p99 {p99} vs exact {want}"
+            );
         }
     }
 
@@ -348,7 +359,12 @@ mod tests {
             for _ in 0..10_000 {
                 q.record(rng.next_u64() % 10_000);
             }
-            (q.quantile(0.5), q.quantile(0.99), q.quantile(0.999), q.retained())
+            (
+                q.quantile(0.5),
+                q.quantile(0.99),
+                q.quantile(0.999),
+                q.retained(),
+            )
         };
         assert_eq!(run(), run());
     }

@@ -27,8 +27,7 @@ pub enum InsertionPolicy {
 /// caps the number of unacknowledged data flits in flight; `PerFlit` is the
 /// degenerate window of 1; `Unlimited` streams at wire speed and uses Dacks
 /// only for accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AckMode {
     /// One outstanding data flit at a time (stop-and-wait).
     PerFlit,
@@ -41,7 +40,6 @@ pub enum AckMode {
     #[default]
     Unlimited,
 }
-
 
 /// Per-node behavioural limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -112,7 +112,13 @@ impl FaultPlan {
 
     /// Schedules a single stuck segment.
     #[must_use]
-    pub fn segment_stuck(self, at: u64, hop: NodeId, bus: BusIndex, repair_at: Option<u64>) -> Self {
+    pub fn segment_stuck(
+        self,
+        at: u64,
+        hop: NodeId,
+        bus: BusIndex,
+        repair_at: Option<u64>,
+    ) -> Self {
         self.with(FaultEvent {
             at,
             kind: FaultKind::SegmentStuck { hop, bus },
@@ -163,7 +169,10 @@ impl FaultPlan {
             match event.kind {
                 FaultKind::SegmentStuck { hop, bus } => {
                     if hop.index() >= n {
-                        return Err(FaultPlanError::NodeOutOfRange { index: i, node: hop });
+                        return Err(FaultPlanError::NodeOutOfRange {
+                            index: i,
+                            node: hop,
+                        });
                     }
                     if bus.index() >= k {
                         return Err(FaultPlanError::BusOutOfRange { index: i, bus });
@@ -171,7 +180,10 @@ impl FaultPlan {
                 }
                 FaultKind::LinkCut { hop } => {
                     if hop.index() >= n {
-                        return Err(FaultPlanError::NodeOutOfRange { index: i, node: hop });
+                        return Err(FaultPlanError::NodeOutOfRange {
+                            index: i,
+                            node: hop,
+                        });
                     }
                 }
                 FaultKind::IncDead { node } => {
@@ -214,10 +226,16 @@ impl fmt::Display for FaultPlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FaultPlanError::NodeOutOfRange { index, node } => {
-                write!(f, "fault event {index} names {node}, which is outside the ring")
+                write!(
+                    f,
+                    "fault event {index} names {node}, which is outside the ring"
+                )
             }
             FaultPlanError::BusOutOfRange { index, bus } => {
-                write!(f, "fault event {index} names {bus}, which is outside the bus array")
+                write!(
+                    f,
+                    "fault event {index} names {bus}, which is outside the bus array"
+                )
             }
             FaultPlanError::RepairNotAfterFault { index } => {
                 write!(f, "fault event {index} repairs no later than it activates")
@@ -288,8 +306,20 @@ mod tests {
             bus: BusIndex::new(1),
         };
         assert_eq!(kind.to_string(), "segment-stuck n3 b1");
-        assert_eq!(FaultKind::LinkCut { hop: NodeId::new(5) }.to_string(), "link-cut n5");
-        assert_eq!(FaultKind::IncDead { node: NodeId::new(7) }.to_string(), "inc-dead n7");
+        assert_eq!(
+            FaultKind::LinkCut {
+                hop: NodeId::new(5)
+            }
+            .to_string(),
+            "link-cut n5"
+        );
+        assert_eq!(
+            FaultKind::IncDead {
+                node: NodeId::new(7)
+            }
+            .to_string(),
+            "inc-dead n7"
+        );
     }
 
     #[test]

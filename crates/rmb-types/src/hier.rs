@@ -164,7 +164,10 @@ impl fmt::Display for HierConfigError {
             HierConfigError::TooFewRings(r) => {
                 write!(f, "a hierarchy needs at least 2 local rings, got {r}")
             }
-            HierConfigError::GlobalSizeMismatch { rings, global_nodes } => write!(
+            HierConfigError::GlobalSizeMismatch {
+                rings,
+                global_nodes,
+            } => write!(
                 f,
                 "global ring has {global_nodes} nodes but there are {rings} local rings"
             ),
@@ -172,9 +175,7 @@ impl fmt::Display for HierConfigError {
                 f,
                 "bridge position {bridge} is outside the {nodes}-node local ring"
             ),
-            HierConfigError::ZeroQueueDepth => {
-                f.write_str("bridge queue depth must be at least 1")
-            }
+            HierConfigError::ZeroQueueDepth => f.write_str("bridge queue depth must be at least 1"),
             HierConfigError::Ring(e) => write!(f, "invalid ring configuration: {e}"),
         }
     }
@@ -492,16 +493,30 @@ mod tests {
     #[test]
     fn flatten_is_ring_major() {
         let cfg = HierConfig::builder(4, 16, 4).build().unwrap();
-        assert_eq!(cfg.flatten(NodeAddr::new(0, NodeId::new(5))), NodeId::new(5));
-        assert_eq!(cfg.flatten(NodeAddr::new(2, NodeId::new(3))), NodeId::new(35));
+        assert_eq!(
+            cfg.flatten(NodeAddr::new(0, NodeId::new(5))),
+            NodeId::new(5)
+        );
+        assert_eq!(
+            cfg.flatten(NodeAddr::new(2, NodeId::new(3))),
+            NodeId::new(35)
+        );
     }
 
     #[test]
     fn error_display_is_lowercase() {
         let msgs = [
             HierConfigError::TooFewRings(1).to_string(),
-            HierConfigError::GlobalSizeMismatch { rings: 4, global_nodes: 3 }.to_string(),
-            HierConfigError::BridgeOutsideRing { bridge: NodeId::new(9), nodes: 8 }.to_string(),
+            HierConfigError::GlobalSizeMismatch {
+                rings: 4,
+                global_nodes: 3,
+            }
+            .to_string(),
+            HierConfigError::BridgeOutsideRing {
+                bridge: NodeId::new(9),
+                nodes: 8,
+            }
+            .to_string(),
             HierConfigError::ZeroQueueDepth.to_string(),
             HierConfigError::Ring(crate::ConfigError::NoBuses).to_string(),
         ];

@@ -279,7 +279,9 @@ impl<'a> Parser<'a> {
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
                             self.pos += 4;
-                            out.push(char::from_u32(hex).ok_or_else(|| self.err("bad code point"))?);
+                            out.push(
+                                char::from_u32(hex).ok_or_else(|| self.err("bad code point"))?,
+                            );
                         }
                         _ => return Err(self.err("unknown escape")),
                     }
@@ -401,7 +403,9 @@ impl FromJson for NodeId {
         Self::from_value(&Value::parse(s)?)
     }
     fn from_value(v: &Value) -> Result<Self, JsonError> {
-        v.as_u32().map(NodeId::new).ok_or_else(|| bad("NodeId: expected u32"))
+        v.as_u32()
+            .map(NodeId::new)
+            .ok_or_else(|| bad("NodeId: expected u32"))
     }
 }
 
@@ -416,7 +420,9 @@ impl FromJson for BusIndex {
         Self::from_value(&Value::parse(s)?)
     }
     fn from_value(v: &Value) -> Result<Self, JsonError> {
-        v.as_u16().map(BusIndex::new).ok_or_else(|| bad("BusIndex: expected u16"))
+        v.as_u16()
+            .map(BusIndex::new)
+            .ok_or_else(|| bad("BusIndex: expected u16"))
     }
 }
 
@@ -439,7 +445,9 @@ impl FromJson for MessageSpec {
     fn from_value(v: &Value) -> Result<Self, JsonError> {
         Ok(MessageSpec {
             source: NodeId::new(
-                v.field("source")?.as_u32().ok_or_else(|| bad("source: expected u32"))?,
+                v.field("source")?
+                    .as_u32()
+                    .ok_or_else(|| bad("source: expected u32"))?,
             ),
             destination: NodeId::new(
                 v.field("destination")?
@@ -479,7 +487,9 @@ impl FromJson for DeliveredMessage {
     fn from_value(v: &Value) -> Result<Self, JsonError> {
         Ok(DeliveredMessage {
             request: RequestId::new(
-                v.field("request")?.as_u64().ok_or_else(|| bad("request: expected u64"))?,
+                v.field("request")?
+                    .as_u64()
+                    .ok_or_else(|| bad("request: expected u64"))?,
             ),
             spec: MessageSpec::from_value(v.field("spec")?)?,
             requested_at: v
@@ -538,8 +548,14 @@ impl FromJson for RmbConfig {
         Self::from_value(&Value::parse(s)?)
     }
     fn from_value(v: &Value) -> Result<Self, JsonError> {
-        let n = v.field("nodes")?.as_u32().ok_or_else(|| bad("nodes: expected u32"))?;
-        let k = v.field("buses")?.as_u16().ok_or_else(|| bad("buses: expected u16"))?;
+        let n = v
+            .field("nodes")?
+            .as_u32()
+            .ok_or_else(|| bad("nodes: expected u32"))?;
+        let k = v
+            .field("buses")?
+            .as_u16()
+            .ok_or_else(|| bad("buses: expected u16"))?;
         let node = v.field("node")?;
         let mut b = RmbConfig::builder(n, k)
             .compaction(
@@ -585,7 +601,11 @@ impl FromJson for RmbConfig {
             );
         if let Some(t) = match v.field("head_timeout")? {
             Value::Null => None,
-            other => Some(other.as_u64().ok_or_else(|| bad("head_timeout: expected u64"))?),
+            other => Some(
+                other
+                    .as_u64()
+                    .ok_or_else(|| bad("head_timeout: expected u64"))?,
+            ),
         } {
             b = b.head_timeout(t);
         }

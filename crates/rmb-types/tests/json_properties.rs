@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use rmb_types::json::{FromJson, ToJson};
 use rmb_types::{
-    AckMode, BusIndex, DeliveredMessage, InsertionPolicy, MessageSpec, NodeId, RequestId,
-    RingSize, RmbConfig,
+    AckMode, BusIndex, DeliveredMessage, InsertionPolicy, MessageSpec, NodeId, RequestId, RingSize,
+    RmbConfig,
 };
 
 proptest! {

@@ -53,7 +53,11 @@ mod tests {
 
     #[test]
     fn counts_round_and_clamp() {
-        let s = |fraction| FaultScenario { fraction, horizon: 100, outage: None };
+        let s = |fraction| FaultScenario {
+            fraction,
+            horizon: 100,
+            outage: None,
+        };
         assert_eq!(s(0.0).segment_count(8, 4), 0);
         assert_eq!(s(0.5).segment_count(8, 4), 16);
         assert_eq!(s(0.2).segment_count(8, 2), 3, "0.2 * 16 = 3.2 rounds to 3");
@@ -62,18 +66,18 @@ mod tests {
 
     #[test]
     fn draw_is_deterministic_and_valid() {
-        let scenario = FaultScenario { fraction: 0.25, horizon: 500, outage: Some(200) };
+        let scenario = FaultScenario {
+            fraction: 0.25,
+            horizon: 500,
+            outage: Some(200),
+        };
         let a = scenario.draw(10, 3, &mut SimRng::seed(42));
         let b = scenario.draw(10, 3, &mut SimRng::seed(42));
         assert_eq!(a, b, "same seed, same plan");
         assert_eq!(a.events().len(), scenario.segment_count(10, 3));
         a.validate(10, 3).unwrap();
         // Distinct segments.
-        let mut seen: Vec<_> = a
-            .events()
-            .iter()
-            .map(|e| format!("{}", e.kind))
-            .collect();
+        let mut seen: Vec<_> = a.events().iter().map(|e| format!("{}", e.kind)).collect();
         seen.sort();
         seen.dedup();
         assert_eq!(seen.len(), a.events().len());
@@ -85,7 +89,11 @@ mod tests {
 
     #[test]
     fn permanent_scenario_has_no_repairs() {
-        let scenario = FaultScenario { fraction: 0.5, horizon: 100, outage: None };
+        let scenario = FaultScenario {
+            fraction: 0.5,
+            horizon: 100,
+            outage: None,
+        };
         let plan = scenario.draw(6, 2, &mut SimRng::seed(7));
         assert!(plan.events().iter().all(|e| e.repair_at.is_none()));
     }

@@ -113,9 +113,14 @@ impl Permutation {
             PermutationKind::Rotation(d) => (0..n).map(|i| (i + d) % n).collect(),
             PermutationKind::Opposite => (0..n).map(|i| (i + n / 2) % n).collect(),
             PermutationKind::Reversal => (0..n).map(|i| n - 1 - i).collect(),
-            PermutationKind::BitReversal => (0..n).map(|i| i.reverse_bits() >> (32 - bits)).collect(),
+            PermutationKind::BitReversal => {
+                (0..n).map(|i| i.reverse_bits() >> (32 - bits)).collect()
+            }
             PermutationKind::Transpose => {
-                assert!(bits.is_multiple_of(2), "transpose needs an even number of address bits");
+                assert!(
+                    bits.is_multiple_of(2),
+                    "transpose needs an even number of address bits"
+                );
                 let half = bits / 2;
                 let low_mask = (1u32 << half) - 1;
                 (0..n)

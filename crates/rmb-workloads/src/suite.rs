@@ -62,7 +62,11 @@ impl WorkloadSuite {
         p.messages(0)
             .into_iter()
             .map(|m| {
-                MessageSpec::new(m.source, m.destination, self.config.sizes.sample(&mut size_rng))
+                MessageSpec::new(
+                    m.source,
+                    m.destination,
+                    self.config.sizes.sample(&mut size_rng),
+                )
             })
             .collect()
     }

@@ -22,7 +22,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for _frame in 0..8 {
         net.run(4);
-        println!("t = {:>3} ----------------------------------------", net.now());
+        println!(
+            "t = {:>3} ----------------------------------------",
+            net.now()
+        );
         print!("{}", render_occupancy(&net));
         println!();
     }

@@ -13,7 +13,9 @@ use rmb::workloads::LocalityTraffic;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Four 16-node local rings, 4 buses per hop, joined by a 4-node
     // global ring of bridges (one bridge per local ring, at position 0).
-    let cfg = HierConfig::builder(4, 16, 4).bridge_queue_depth(4).build()?;
+    let cfg = HierConfig::builder(4, 16, 4)
+        .bridge_queue_depth(4)
+        .build()?;
     println!(
         "{} rings x {} nodes = {} compute nodes (+{} bridges)\n",
         cfg.rings(),

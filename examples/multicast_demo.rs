@@ -43,7 +43,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .map(|m| m.delivered_at.to_string())
                 .unwrap_or_default()
         };
-        t.row(vec![d.to_string(), at(mc.delivered_log()), at(uc.delivered_log())]);
+        t.row(vec![
+            d.to_string(),
+            at(mc.delivered_log()),
+            at(uc.delivered_log()),
+        ]);
     }
     println!("{t}");
     println!(

@@ -17,9 +17,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let k = 4u16;
     let flits = 16u32;
 
-    let suite = WorkloadSuite::new(
-        WorkloadConfig::new(n, 1996).with_sizes(SizeDistribution::Fixed(flits)),
-    );
+    let suite =
+        WorkloadSuite::new(WorkloadConfig::new(n, 1996).with_sizes(SizeDistribution::Fixed(flits)));
     let rmb_cfg = RmbConfig::builder(n, k)
         .head_timeout(16 * u64::from(n))
         .retry_backoff(u64::from(n))

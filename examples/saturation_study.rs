@@ -16,13 +16,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 24u32;
     let k = 6u16;
     let window = 4_000u64;
-    let suite = WorkloadSuite::new(
-        WorkloadConfig::new(n, 2026).with_sizes(SizeDistribution::Bimodal {
+    let suite = WorkloadSuite::new(WorkloadConfig::new(n, 2026).with_sizes(
+        SizeDistribution::Bimodal {
             short: 4,
             long: 48,
             p_short: 0.7,
-        }),
-    );
+        },
+    ));
 
     let mut table = Table::new(vec![
         "rate/node/tick",

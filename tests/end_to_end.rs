@@ -2,9 +2,7 @@
 //! simulation → offline analysis, all through the umbrella crate's public
 //! API.
 
-use rmb::analysis::{
-    competitive_ratio, offline_schedule, ring_lower_bound, DualRmbRing, RmbRing,
-};
+use rmb::analysis::{competitive_ratio, offline_schedule, ring_lower_bound, DualRmbRing, RmbRing};
 use rmb::baselines::{FatTree, Hypercube, Mesh2D, Network};
 use rmb::core::RmbNetwork;
 use rmb::types::{RingSize, RmbConfig};
@@ -21,21 +19,26 @@ fn rmb_cfg(n: u32, k: u16) -> RmbConfig {
 #[test]
 fn workload_to_delivery_pipeline() {
     let n = 16u32;
-    let suite = WorkloadSuite::new(
-        WorkloadConfig::new(n, 7).with_sizes(SizeDistribution::Bimodal {
+    let suite = WorkloadSuite::new(WorkloadConfig::new(n, 7).with_sizes(
+        SizeDistribution::Bimodal {
             short: 2,
             long: 32,
             p_short: 0.5,
-        }),
-    );
+        },
+    ));
     let msgs = suite.permutation(PermutationKind::Random);
     let mut net = RmbNetwork::builder(rmb_cfg(n, 4)).checked(true).build();
-    net.submit_all(msgs.iter().copied()).expect("valid workload");
+    net.submit_all(msgs.iter().copied())
+        .expect("valid workload");
     let report = net.run_to_quiescence(4_000_000);
     assert_eq!(report.delivered, msgs.len(), "stalled={}", report.stalled);
     // Delivered payload sizes match the submitted specs one-to-one.
     let mut sent: Vec<u32> = msgs.iter().map(|m| m.data_flits).collect();
-    let mut got: Vec<u32> = net.delivered_log().iter().map(|d| d.spec.data_flits).collect();
+    let mut got: Vec<u32> = net
+        .delivered_log()
+        .iter()
+        .map(|d| d.spec.data_flits)
+        .collect();
     sent.sort_unstable();
     got.sort_unstable();
     assert_eq!(sent, got);
@@ -45,9 +48,8 @@ fn workload_to_delivery_pipeline() {
 fn every_network_routes_the_same_permutation() {
     let n = 16u32;
     let k = 4u16;
-    let suite = WorkloadSuite::new(
-        WorkloadConfig::new(n, 3).with_sizes(SizeDistribution::Fixed(8)),
-    );
+    let suite =
+        WorkloadSuite::new(WorkloadConfig::new(n, 3).with_sizes(SizeDistribution::Fixed(8)));
     let msgs = suite.permutation(PermutationKind::BitReversal);
     let mut nets: Vec<Box<dyn Network>> = vec![
         Box::new(RmbRing::new(rmb_cfg(n, k))),
@@ -68,8 +70,9 @@ fn every_network_routes_the_same_permutation() {
         // Per-message sanity: each delivery corresponds to a submitted
         // message and finishes after it starts.
         for d in &out.delivered {
-            assert!(msgs.iter().any(|m| m.source == d.spec.source
-                && m.destination == d.spec.destination));
+            assert!(msgs
+                .iter()
+                .any(|m| m.source == d.spec.source && m.destination == d.spec.destination));
             assert!(d.delivered_at >= d.circuit_at);
         }
     }
@@ -80,9 +83,8 @@ fn online_offline_analysis_chain() {
     let n = 24u32;
     let k = 6u16;
     let ring = RingSize::new(n).unwrap();
-    let suite = WorkloadSuite::new(
-        WorkloadConfig::new(n, 11).with_sizes(SizeDistribution::Fixed(12)),
-    );
+    let suite =
+        WorkloadSuite::new(WorkloadConfig::new(n, 11).with_sizes(SizeDistribution::Fixed(12)));
     let msgs = suite.permutation(PermutationKind::Random);
 
     let mut rmb = RmbRing::new(rmb_cfg(n, k));
@@ -95,7 +97,10 @@ fn online_offline_analysis_chain() {
 
     let ratio = competitive_ratio(online.makespan(), &sched).expect("nonzero offline");
     assert!(ratio >= 0.9, "online cannot beat offline by much: {ratio}");
-    assert!(ratio < 32.0, "competitiveness out of plausible range: {ratio}");
+    assert!(
+        ratio < 32.0,
+        "competitiveness out of plausible range: {ratio}"
+    );
 }
 
 #[test]
@@ -103,9 +108,8 @@ fn paper_shape_ring_wins_local_hypercube_wins_global() {
     // The §3 qualitative shape on measured runs.
     let n = 16u32;
     let k = 4u16;
-    let suite = WorkloadSuite::new(
-        WorkloadConfig::new(n, 5).with_sizes(SizeDistribution::Fixed(16)),
-    );
+    let suite =
+        WorkloadSuite::new(WorkloadConfig::new(n, 5).with_sizes(SizeDistribution::Fixed(16)));
 
     let local = suite.permutation(PermutationKind::Rotation(1));
     let global = suite.permutation(PermutationKind::Opposite);
@@ -126,9 +130,8 @@ fn paper_shape_ring_wins_local_hypercube_wins_global() {
 fn dual_ring_halves_long_haul_traffic() {
     let n = 16u32;
     let k = 4u16;
-    let suite = WorkloadSuite::new(
-        WorkloadConfig::new(n, 9).with_sizes(SizeDistribution::Fixed(16)),
-    );
+    let suite =
+        WorkloadSuite::new(WorkloadConfig::new(n, 9).with_sizes(SizeDistribution::Fixed(16)));
     let msgs = suite.permutation(PermutationKind::Reversal);
     let mut single = RmbRing::new(rmb_cfg(n, k));
     let mut dual = DualRmbRing::new(rmb_cfg(n, k));

@@ -42,7 +42,10 @@ fn f1_to_f11_figures_regenerate() {
     // Spot content checks tying figures to the implementation.
     assert!(figure(1).contains("b3 |"), "fig 1 shows a 4-bus array");
     assert!(figure(4).contains("make"), "fig 4 shows MBB stages");
-    assert!(figure(7).contains("100 -> 110 -> 010"), "fig 7 register codes");
+    assert!(
+        figure(7).contains("100 -> 110 -> 010"),
+        "fig 7 register codes"
+    );
     assert!(figure(8).contains("E O"), "fig 8 parity pattern");
     assert!(figure(11).contains("capacity"), "fig 11 capacities");
 }
@@ -112,6 +115,9 @@ fn load_sweep_saturates() {
 #[test]
 fn deadlock_finding_reproduces() {
     let r = deadlock_study(12, 3, 6, 0);
-    assert!(r.verbatim_stalled, "saturated simultaneous injection gridlocks");
+    assert!(
+        r.verbatim_stalled,
+        "saturated simultaneous injection gridlocks"
+    );
     assert!(r.timeout_completed, "head timeout restores progress");
 }

@@ -75,9 +75,7 @@ fn s22_no_data_before_hack() {
     for _ in 0..2 * span {
         net.tick();
         if let Some(bus) = net.virtual_buses().next() {
-            if let Some(BusState::Streaming(StreamState { next_seq, .. })) =
-                net.bus_state(bus.id)
-            {
+            if let Some(BusState::Streaming(StreamState { next_seq, .. })) = net.bus_state(bus.id) {
                 panic!("data flit {next_seq} sent before Hack returned")
             }
         }
@@ -235,8 +233,8 @@ fn s24_live_registers_stay_within_switching_range() {
 fn s4_more_virtual_buses_than_physical_buses() {
     let n = 24u32;
     let mut net = net(n, 2); // k = 2
-    // Twelve short disjoint circuits: 12 virtual buses on 2 physical
-    // buses' worth of segments.
+                             // Twelve short disjoint circuits: 12 virtual buses on 2 physical
+                             // buses' worth of segments.
     for i in 0..12 {
         net.submit(MessageSpec::new(
             NodeId::new(2 * i),
