@@ -33,11 +33,10 @@ impl RmbNetwork {
         let start = (now % n as u64) as usize;
         if self.event_driven() {
             // Promote nodes whose queue front has just come due from the
-            // timing wheel into the ready set, then attempt injection only
+            // event queue into the ready set, then attempt injection only
             // at ready nodes — in the same rotated order the dense sweep
-            // would visit them. Draining the wheel to `None` leaves its
-            // peek hint exact, which `has_due_work` relies on.
-            while let Some((_, s)) = self.sched.wheel.pop_due(Tick::new(now)) {
+            // would visit them.
+            while let Some((_, s)) = self.sched.waiting.pop_due(Tick::new(now)) {
                 self.arm_node(s as usize);
             }
             if self.sched.ready.is_empty() {

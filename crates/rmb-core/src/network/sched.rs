@@ -1,16 +1,16 @@
 //! Bookkeeping of the event-driven scheduler: per-slot wake ticks, the
-//! compaction dirty set, and the ready set plus timing wheel of the
+//! compaction dirty set, and the ready set plus event queue of the
 //! injection queues. DESIGN.md §8a states the wake discipline.
 
 use super::RmbNetwork;
-use rmb_sim::{Tick, TimingWheel};
+use rmb_sim::{EventQueue, Tick};
 use rmb_types::{BusIndex, VirtualBusId};
 
 /// State of the event-driven scheduler.
 ///
 /// Per-bus entries are indexed by the bus's *slot* in the [`BusSlab`]
 /// (reset on slot reuse by [`RmbNetwork::sched_init_bus`]); per-node
-/// injection state lives in a ready set plus a timing wheel. The dense
+/// injection state lives in a ready set plus an event queue. The dense
 /// sweep ignores all of this. See DESIGN.md for the wake discipline.
 #[derive(Debug, Default)]
 pub(super) struct SchedState {
@@ -33,7 +33,7 @@ pub(super) struct SchedState {
     /// Per-node membership flag for `ready`.
     pub(super) ready_mask: Vec<bool>,
     /// One entry per node whose queue front becomes due at a future tick.
-    pub(super) wheel: TimingWheel<u32>,
+    pub(super) waiting: EventQueue<u32>,
     /// Buses to re-mark compaction-dirty at the next activation; buffered
     /// because segment releases can fire while the bus slab is detached.
     pub(super) pending_wakes: Vec<VirtualBusId>,
@@ -60,9 +60,9 @@ impl RmbNetwork {
     }
 
     /// (Re-)arms injection tracking for node `s` after its queue front
-    /// changed: due fronts join the ready set, future ones get a wheel
+    /// changed: due fronts join the ready set, future ones get a queue
     /// entry. A node with an unchanged front is never re-armed, so the
-    /// wheel holds at most one live entry per waiting node.
+    /// queue holds at most one live entry per waiting node.
     pub(super) fn arm_node(&mut self, s: usize) {
         let Some(front) = self.nodes[s].pending.front() else {
             return;
@@ -71,7 +71,7 @@ impl RmbNetwork {
         if not_before <= self.now.get() {
             self.ready_insert(s);
         } else {
-            self.sched.wheel.schedule(Tick::new(not_before), s as u32);
+            self.sched.waiting.schedule(Tick::new(not_before), s as u32);
         }
     }
 

@@ -10,7 +10,7 @@
 //! percentiles) explode. That hockey stick is the measurement this module
 //! exists to produce.
 //!
-//! Arrivals ride a [`TimingWheel`]: one pending arrival per source node,
+//! Arrivals ride an [`EventQueue`]: one pending arrival per source node,
 //! rescheduled by an [`ArrivalStream`] gap each time it fires, so memory
 //! is O(nodes) regardless of run length. Admission control bounds each
 //! source's outstanding work — an arrival past the bound is **shed** and
@@ -20,7 +20,7 @@
 
 use crate::target::ServeTarget;
 use rmb_sim::stats::OnlineStats;
-use rmb_sim::{QuantileSketch, SimRng, Tick, TimingWheel};
+use rmb_sim::{EventQueue, QuantileSketch, SimRng, Tick};
 use rmb_types::{LatencySummary, PerfStats, StatsReport};
 use rmb_workloads::ArrivalStream;
 
@@ -283,10 +283,10 @@ pub fn serve_with_policy(
     let n = target.node_count();
     assert!(n >= 2, "need at least two serving nodes");
     let mut rng = SimRng::seed(cfg.seed);
-    let mut wheel: TimingWheel<u32> = TimingWheel::new();
+    let mut clock: EventQueue<u32> = EventQueue::new();
     for node in 0..n {
         let gap = arrivals.next_gap(node, &mut rng);
-        wheel.schedule(Tick::new(gap.saturating_sub(1)), node);
+        clock.schedule(Tick::new(gap.saturating_sub(1)), node);
     }
 
     let per_source = matches!(cfg.admission, AdmissionMode::PerSource { .. });
@@ -300,7 +300,7 @@ pub fn serve_with_policy(
 
     for t in 0..total_ticks {
         debug_assert_eq!(target.now(), t);
-        while let Some((_, node)) = wheel.pop_due(Tick::new(t)) {
+        while let Some((_, node)) = clock.pop_due(Tick::new(t)) {
             offered += 1;
             let admit = match cfg.admission {
                 AdmissionMode::PerSource { depth } => outstanding[node as usize] < depth,
@@ -338,7 +338,7 @@ pub fn serve_with_policy(
                 shed += 1;
             }
             let gap = arrivals.next_gap(node, &mut rng);
-            wheel.schedule(Tick::new(t + gap), node);
+            clock.schedule(Tick::new(t + gap), node);
         }
 
         target.tick();

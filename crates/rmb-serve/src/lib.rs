@@ -15,7 +15,7 @@
 //!   advance a tick, poll completions, read gauges. Adapters wrap the
 //!   flat ring ([`FlatTarget`]), the bridged hierarchy ([`HierTarget`])
 //!   and a wormhole torus baseline ([`WormholeTarget`]).
-//! * [`serve`] — the driver: per-node arrival clocks on a timing wheel,
+//! * [`serve`] — the driver: per-node arrival clocks on an event queue,
 //!   admission control with explicit shedding
 //!   ([`AdmissionMode::PerSource`] for sweeps,
 //!   [`AdmissionMode::Aggregate`] for counters-only soaks), online

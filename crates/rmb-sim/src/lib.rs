@@ -5,10 +5,9 @@
 //! substrate provided here:
 //!
 //! * [`Tick`] — the simulation clock, a newtype over `u64`.
-//! * [`TimingWheel`] — a stable discrete-event queue (FIFO among events
-//!   due at the same tick) built as a hierarchical timing wheel: O(1)
-//!   schedule/pop for near-future events plus an O(1) lower-bound peek,
-//!   used by the event-driven protocol scheduler.
+//! * [`EventQueue`] — a stable discrete-event queue (FIFO among events
+//!   due at the same tick) over a binary heap, with an exact O(1) peek,
+//!   used by the event-driven protocol scheduler and the serving driver.
 //! * [`IdSlab`] — flat id-keyed storage with sorted, allocation-free id
 //!   iteration for hot per-entity loops.
 //! * [`arc_any`] / [`arc_word`] — wrap-aware masked range queries over
@@ -27,9 +26,9 @@
 //! # Examples
 //!
 //! ```
-//! use rmb_sim::{Tick, TimingWheel};
+//! use rmb_sim::{EventQueue, Tick};
 //!
-//! let mut q = TimingWheel::new();
+//! let mut q = EventQueue::new();
 //! q.schedule(Tick::new(5), "b");
 //! q.schedule(Tick::new(2), "a");
 //! q.schedule(Tick::new(5), "c"); // same tick: FIFO among equals
@@ -43,17 +42,17 @@
 mod bitset;
 mod clock;
 pub mod par;
+mod queue;
 mod rng;
 mod sketch;
 mod slab;
 pub mod stats;
 pub mod trace;
-mod wheel;
 
 pub use bitset::{arc_any, arc_word};
 pub use clock::Tick;
 pub use par::{par_map, par_map_with};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use sketch::QuantileSketch;
 pub use slab::IdSlab;
-pub use wheel::TimingWheel;

@@ -1,20 +1,7 @@
 //! Arrival processes for open-loop load sweeps.
 
-use rmb_sim::{SimRng, Tick, TimingWheel};
+use rmb_sim::SimRng;
 use rmb_types::{MessageSpec, NodeId};
-
-/// Generates message injection times for an open-loop experiment.
-pub trait ArrivalProcess {
-    /// Produces the message stream for `ticks` simulated ticks on a ring
-    /// of `n` nodes, with message bodies drawn by `flits`.
-    fn generate(
-        &self,
-        n: u32,
-        ticks: u64,
-        rng: &mut SimRng,
-        flits: &mut dyn FnMut(&mut SimRng) -> u32,
-    ) -> Vec<MessageSpec>;
-}
 
 /// Each node independently starts a new message with probability `p` per
 /// tick, to a uniformly random other node — the standard Bernoulli
@@ -23,7 +10,7 @@ pub trait ArrivalProcess {
 /// # Examples
 ///
 /// ```
-/// use rmb_workloads::{ArrivalProcess, BernoulliArrivals};
+/// use rmb_workloads::BernoulliArrivals;
 /// use rmb_sim::SimRng;
 ///
 /// let arr = BernoulliArrivals::new(0.1);
@@ -50,10 +37,15 @@ impl BernoulliArrivals {
     pub const fn rate(&self) -> f64 {
         self.p
     }
-}
 
-impl ArrivalProcess for BernoulliArrivals {
-    fn generate(
+    /// Produces the message stream for `ticks` simulated ticks on a ring
+    /// of `n` nodes, with message bodies drawn by `flits`, sorted by
+    /// injection tick and, within a tick, by source node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2`.
+    pub fn generate(
         &self,
         n: u32,
         ticks: u64,
@@ -62,10 +54,10 @@ impl ArrivalProcess for BernoulliArrivals {
     ) -> Vec<MessageSpec> {
         assert!(n >= 2, "need at least two nodes");
         // Geometric gap sampling: equivalent to per-tick Bernoulli but
-        // O(messages) instead of O(nodes * ticks). The per-node streams
-        // are merged chronologically through the timing wheel (stable FIFO
-        // within a tick).
-        let mut queue = TimingWheel::new();
+        // O(messages) instead of O(nodes * ticks). Nodes are drawn in
+        // ascending order, so a stable sort by tick merges the per-node
+        // streams with ties in source order.
+        let mut msgs = Vec::new();
         for node in 0..n {
             let mut t = rng.geometric_gap(self.p).saturating_sub(1);
             while t < ticks {
@@ -78,22 +70,20 @@ impl ArrivalProcess for BernoulliArrivals {
                     }
                 };
                 let body = flits(rng);
-                queue.schedule(
-                    Tick::new(t),
-                    MessageSpec::new(NodeId::new(node), NodeId::new(dst), body).at(t),
-                );
+                msgs.push(MessageSpec::new(NodeId::new(node), NodeId::new(dst), body).at(t));
                 t = t.saturating_add(rng.geometric_gap(self.p));
             }
         }
-        std::iter::from_fn(|| queue.pop().map(|(_, m)| m)).collect()
+        msgs.sort_by_key(|m| m.inject_at);
+        msgs
     }
 }
 
 /// A per-node stream of inter-arrival gaps, for open-loop serving drivers
-/// that generate load *online* (one gap at a time, riding a timing wheel)
+/// that generate load *online* (one gap at a time, riding an event queue)
 /// rather than materialising a whole batch up front.
 ///
-/// Unlike [`ArrivalProcess::generate`], which returns a complete sorted
+/// Unlike [`BernoulliArrivals::generate`], which returns a complete sorted
 /// message list, an `ArrivalStream` is consulted lazily: every time node
 /// `node` fires, the driver asks for the gap to that node's *next*
 /// arrival. This keeps memory independent of run length — a billion-tick
@@ -302,7 +292,10 @@ mod tests {
         let arr = BernoulliArrivals::new(0.1);
         let mut rng = SimRng::seed(2);
         let msgs = arr.generate(8, 2_000, &mut rng, &mut |_| 1);
-        assert!(msgs.windows(2).all(|w| w[0].inject_at <= w[1].inject_at));
+        // Within a tick, arrivals keep ascending source order.
+        let key = |m: &MessageSpec| (m.inject_at, m.source);
+        assert!(msgs.windows(2).all(|w| key(&w[0]) <= key(&w[1])));
+        assert!(msgs.windows(2).any(|w| w[0].inject_at == w[1].inject_at));
     }
 
     /// Long-run arrival rate of a stream, measured by walking one node's

@@ -31,7 +31,7 @@ mod sizes;
 mod suite;
 mod trace;
 
-pub use arrival::{ArrivalProcess, ArrivalStream, BernoulliArrivals, BurstyStream, PoissonStream};
+pub use arrival::{ArrivalStream, BernoulliArrivals, BurstyStream, PoissonStream};
 pub use collective::{all_to_all, nearest_neighbour, ExchangeStream};
 pub use faults::FaultScenario;
 pub use locality::LocalityTraffic;

@@ -1,6 +1,6 @@
 //! Named workload suites tying permutations, sizes and arrivals together.
 
-use crate::arrival::{ArrivalProcess, BernoulliArrivals};
+use crate::arrival::BernoulliArrivals;
 use crate::permutation::{Permutation, PermutationKind};
 use crate::sizes::SizeDistribution;
 use rmb_sim::SimRng;

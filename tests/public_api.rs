@@ -2,7 +2,7 @@
 //! JSON round-trips of configuration and results.
 
 use rmb::core::{BusState, RmbNetwork, RunReport, VirtualBus};
-use rmb::sim::{SimRng, Tick, TimingWheel};
+use rmb::sim::{EventQueue, SimRng, Tick};
 use rmb::types::json::{FromJson, ToJson};
 use rmb::types::{AckMode, DeliveredMessage, MessageSpec, NodeId, RequestId, RmbConfig};
 
@@ -32,7 +32,7 @@ fn key_types_are_send_and_sync() {
     assert_send_sync::<BusState>();
     assert_send_sync::<Tick>();
     assert_send_sync::<SimRng>();
-    assert_send_sync::<TimingWheel<u32>>();
+    assert_send_sync::<EventQueue<u32>>();
 }
 
 #[test]
