@@ -8,8 +8,8 @@
 //! circuits finish compacting during the warm-up, so the `compaction`
 //! cases time ticks on rings where some bus is always sinking, in ns per
 //! tick. The `feasibility` group isolates the occupancy query itself: the
-//! packed bitmap's wrap-aware masked-range test, on a ring long enough
-//! that arcs straddle `u64` word boundaries.
+//! AND of the bus layers' packed blocked bits over each 64-hop stretch,
+//! on a ring long enough that arcs straddle `u64` word boundaries.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rmb_core::{LogRetention, RmbNetwork};

@@ -22,8 +22,8 @@
 //!    tearing down — the Nack/Fack frees it tail-first over the following
 //!    ticks — but a data flit crossing a faulted segment is not.
 //! 6. **Bitmap lockstep** — the packed occupancy bitmaps the hot path
-//!    queries (per-bus occupied / faulted bits, the full-hop mask) agree
-//!    bit-for-bit with the authoritative segment owner and fault tables.
+//!    queries (per-bus occupied and faulted bits) agree bit-for-bit with
+//!    the authoritative segment owner and fault tables.
 //! 7. **Plane lockstep** — the per-slot height planes word-parallel
 //!    compaction reads agree bit-for-bit with every live bus's `heights`,
 //!    and each slot's recorded level range is exactly the lowest and

@@ -393,19 +393,11 @@ impl RmbNetwork {
         self.segments[from_idx] = None;
         self.segments[to_idx] = Some(id);
         self.occ.move_occupied(hop, from.as_usize(), to.as_usize());
+        // A same-hop move swaps which layer owns the segment but leaves
+        // `busy_segments` as it was. The vacated segment frees up unless
+        // it faulted under its occupant; only then is no wake needed.
         if self.fault_count[from_idx] == 0 {
-            // A same-hop move swaps which layer owns the segment but
-            // leaves `busy_segments`, `free_per_hop`, and the full-hops
-            // lane exactly as they were — only the wake is needed.
             self.wake_above(hop, from);
-        } else {
-            // The vacated segment faulted under its occupant: it stays
-            // out of the availability pool, so the hop net-loses the
-            // free segment the move consumed.
-            self.free_per_hop[hop] -= 1;
-            if self.free_per_hop[hop] == 0 {
-                self.occ.assign_full(hop, true);
-            }
         }
         let slot = self.buses.slot(id).expect("moving a live bus");
         self.aside.planes.lower(slot, j, from, to);

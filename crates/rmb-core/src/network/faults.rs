@@ -103,17 +103,11 @@ impl RmbNetwork {
         self.fault_count[idx] += 1;
         if self.fault_count[idx] == 1 {
             self.occ.assign_faulted(hop, bus.as_usize(), true);
-            match self.segments[idx] {
-                // An idle segment just leaves the availability pool.
-                None => {
-                    self.free_per_hop[hop] -= 1;
-                    if self.free_per_hop[hop] == 0 {
-                        self.occ.assign_full(hop, true);
-                    }
-                }
-                // An occupied one takes its circuit down with it; the
-                // teardown keeps owning the segment until the Nack passes.
-                Some(owner) => self.fault_kill(owner, "segment faulted under the circuit"),
+            // An idle segment just leaves the availability pool. An
+            // occupied one takes its circuit down with it; the teardown
+            // keeps owning the segment until the Nack passes.
+            if let Some(owner) = self.segments[idx] {
+                self.fault_kill(owner, "segment faulted under the circuit");
             }
         }
     }
@@ -125,8 +119,6 @@ impl RmbNetwork {
         if self.fault_count[idx] == 0 {
             self.occ.assign_faulted(hop, bus.as_usize(), false);
             if self.segments[idx].is_none() {
-                self.free_per_hop[hop] += 1;
-                self.occ.assign_full(hop, false);
                 // The segment is available again: the circuit directly
                 // above (if any) may now have a downward move.
                 self.wake_above(hop, bus);

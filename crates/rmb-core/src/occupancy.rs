@@ -6,16 +6,14 @@
 //! facts the hot path asks about, one bit per segment per bus layer:
 //!
 //! * occupied lane of bus `b` — bit `hop` set ⟺ `segments[hop·k + b]` is `Some`,
-//! * faulted lane of bus `b`  — bit `hop` set ⟺ `fault_count[hop·k + b] > 0`,
-//! * full-hops lane — bit `hop` set ⟺ the hop has no usable free segment
-//!   (`free_per_hop[hop] == 0`).
+//! * faulted lane of bus `b`  — bit `hop` set ⟺ `fault_count[hop·k + b] > 0`.
 //!
-//! With these, clockwise path feasibility over a span is one wrap-aware
-//! masked-range test on the full-hops lane (see [`rmb_sim::arc_any`])
-//! instead of a per-hop slab walk, segment availability is two bit
-//! probes, and the blocked segments of one bus layer at 64 consecutive
-//! ring positions are one wrap-aware word read ([`rmb_sim::arc_word`],
-//! used by word-parallel compaction). All `2k + 1` lanes live in a
+//! With these, segment availability is two bit probes, and the blocked
+//! segments of one bus layer at 64 consecutive ring positions are one
+//! wrap-aware word read ([`rmb_sim::arc_word`], used by word-parallel
+//! compaction). Clockwise path feasibility over a span ANDs the `k`
+//! layers' blocked words over each 64-hop stretch of the arc instead of
+//! walking the slab hop by hop. All `2k` lanes live in a
 //! single contiguous word array — one allocation per network, with each
 //! bus's occupied and faulted lanes adjacent so the paired probe in
 //! [`Occupancy::blocked`] stays on one cache line for rings up to 64
@@ -24,7 +22,7 @@
 //! ([`Occupancy::verify`]) rebuilds them from scratch in checked runs and
 //! demands equality.
 
-use rmb_sim::{arc_any, arc_word};
+use rmb_sim::arc_word;
 use rmb_types::VirtualBusId;
 
 /// Packed occupancy bitmaps, kept in lockstep with the segment owner
@@ -32,15 +30,14 @@ use rmb_types::VirtualBusId;
 #[derive(Debug, Clone)]
 pub(crate) struct Occupancy {
     /// All lanes, contiguous: for bus `b`, occupied words start at
-    /// `2b · wpr` and faulted words at `(2b + 1) · wpr`; the full-hops
-    /// lane starts at `2k · wpr`.
+    /// `2b · wpr` and faulted words at `(2b + 1) · wpr`.
     words: Vec<u64>,
     /// Ring length (hops).
     n: usize,
     /// Words per lane: `n.div_ceil(64)`.
     wpr: usize,
-    /// Word offset of the full-hops lane (`2k · wpr`).
-    full_off: usize,
+    /// Bus layers.
+    k: usize,
 }
 
 impl Occupancy {
@@ -48,10 +45,10 @@ impl Occupancy {
     pub(crate) fn new(n: usize, k: usize) -> Self {
         let wpr = n.div_ceil(64);
         Occupancy {
-            words: vec![0; (2 * k + 1) * wpr],
+            words: vec![0; 2 * k * wpr],
             n,
             wpr,
-            full_off: 2 * k * wpr,
+            k,
         }
     }
 
@@ -87,18 +84,12 @@ impl Occupancy {
 
     /// Moves the owner bit of `hop` from bus `from`'s occupied lane to
     /// bus `to`'s in one fused update — the bitmap form of a same-hop
-    /// compaction move, which leaves the full-hops lane untouched.
+    /// compaction move.
     #[inline]
     pub(crate) fn move_occupied(&mut self, hop: usize, from: usize, to: usize) {
         let (w, m) = self.bit(0, hop);
         self.words[2 * from * self.wpr + w] &= !m;
         self.words[2 * to * self.wpr + w] |= m;
-    }
-
-    /// Records whether hop `hop` currently has zero free segments.
-    #[inline]
-    pub(crate) fn assign_full(&mut self, hop: usize, full: bool) {
-        self.write(self.full_off, hop, full);
     }
 
     /// `true` if segment `(hop, bus)` is owned or faulted — the bitmap
@@ -120,10 +111,18 @@ impl Occupancy {
     }
 
     /// `true` if every hop of the clockwise arc `[start, start + span)`
-    /// still has a free segment — the bitmap form of path feasibility.
-    #[inline]
+    /// still has a free segment — the bitmap form of path feasibility:
+    /// no hop of any 64-hop stretch of the arc is blocked on all `k`
+    /// layers. Spans are clamped to the ring length.
     pub(crate) fn span_feasible(&self, start: usize, span: usize) -> bool {
-        !arc_any(&self.words[self.full_off..], self.n, start, span)
+        let span = span.min(self.n);
+        (0..span).step_by(64).all(|off| {
+            let at = (start + off) % self.n;
+            let full = (0..self.k).fold(!0u64, |acc, bus| acc & self.blocked_word(bus, at));
+            let len = span - off;
+            let arc = if len >= 64 { !0 } else { (1u64 << len) - 1 };
+            full & arc == 0
+        })
     }
 
     /// The bit at `hop` of the lane starting at word `off`.
@@ -143,10 +142,9 @@ impl Occupancy {
         &self,
         segments: &[Option<VirtualBusId>],
         fault_count: &[u8],
-        free_per_hop: &[u16],
-        k: usize,
     ) -> Result<(), String> {
-        for (hop, &free) in free_per_hop.iter().enumerate() {
+        let k = self.k;
+        for hop in 0..self.n {
             for bus in 0..k {
                 let i = hop * k + bus;
                 if self.get(2 * bus * self.wpr, hop) != segments[i].is_some() {
@@ -165,14 +163,6 @@ impl Occupancy {
                         fault_count[i]
                     ));
                 }
-            }
-            if self.get(self.full_off, hop) != (free == 0) {
-                return Err(format!(
-                    "full-hop bit out of lockstep at hop {hop}: bitmap says {}, \
-                     free count is {}",
-                    self.get(self.full_off, hop),
-                    free
-                ));
             }
         }
         Ok(())
@@ -201,11 +191,14 @@ mod tests {
     fn span_feasibility_wraps_the_cut() {
         let mut occ = Occupancy::new(8, 2);
         assert!(occ.span_feasible(6, 4));
-        occ.assign_full(1, true);
+        // Hop 1 blocked on both layers: owned on bus 0, faulted on bus 1.
+        occ.assign_occupied(1, 0, true);
+        assert!(occ.span_feasible(6, 4), "bus 1 is still free at hop 1");
+        occ.assign_faulted(1, 1, true);
         assert!(!occ.span_feasible(6, 4), "arc 6,7,0,1 hits the full hop");
         assert!(occ.span_feasible(6, 3), "arc 6,7,0 stops short of it");
         assert!(occ.span_feasible(2, 7));
-        occ.assign_full(1, false);
+        occ.assign_occupied(1, 0, false);
         assert!(occ.span_feasible(6, 4));
     }
 
@@ -220,9 +213,11 @@ mod tests {
         assert!(occ.blocked(63, 0) && !occ.blocked(64, 0));
         assert!(occ.blocked(64, 2) && !occ.blocked(63, 2));
         assert!(occ.blocked(129, 1) && !occ.blocked(128, 1));
-        assert!(occ.span_feasible(120, 130), "full lane untouched");
-        occ.assign_full(129, true);
+        assert!(occ.span_feasible(120, 130), "no hop blocked on every layer");
+        occ.assign_occupied(129, 0, true);
+        occ.assign_occupied(129, 2, true);
         assert!(!occ.span_feasible(120, 30), "wrapping arc sees hop 129");
+        assert!(occ.span_feasible(0, 129), "the arc that stops short of it");
     }
 
     #[test]
@@ -255,15 +250,12 @@ mod tests {
         let mut occ = Occupancy::new(n, k);
         let mut segments: Vec<Option<VirtualBusId>> = vec![None; n * k];
         let mut fault_count = vec![0u8; n * k];
-        let mut free = vec![k as u16; n];
         // Occupy (2, 1), fault (0, 0).
         segments[2 * k + 1] = Some(VirtualBusId::new(9));
         occ.assign_occupied(2, 1, true);
-        free[2] -= 1;
         fault_count[0] = 1;
         occ.assign_faulted(0, 0, true);
-        free[0] -= 1;
-        assert_eq!(occ.verify(&segments, &fault_count, &free, k), Ok(()));
+        assert_eq!(occ.verify(&segments, &fault_count), Ok(()));
     }
 
     #[test]
@@ -273,8 +265,7 @@ mod tests {
         let mut segments: Vec<Option<VirtualBusId>> = vec![None; n * k];
         segments[5] = Some(VirtualBusId::new(1)); // owner table moved, bitmap didn't
         let fault_count = vec![0u8; n * k];
-        let free = vec![k as u16; n];
-        let err = occ.verify(&segments, &fault_count, &free, k).unwrap_err();
+        let err = occ.verify(&segments, &fault_count).unwrap_err();
         assert!(err.contains("occupied bit out of lockstep"), "{err}");
     }
 }
