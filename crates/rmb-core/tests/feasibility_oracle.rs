@@ -114,8 +114,8 @@ proptest! {
 
 /// A saturated hop makes exactly the arcs crossing it infeasible, and a
 /// repair brings them back — checked against the slab walk across the
-/// ring cut, where the occupancy bitmap's masked-range query splits into
-/// two word spans.
+/// ring cut, where the query's 64-hop stretches of the occupancy lanes
+/// wrap past the last hop.
 #[test]
 fn saturation_and_repair_agree_across_the_cut() {
     let n = 70u32; // > 64 so arcs straddle the bitmap's word boundary
