@@ -17,14 +17,9 @@
 #![forbid(unsafe_code)]
 
 use std::fmt::Display;
-use std::hint::black_box as std_black_box;
+use std::hint::black_box;
 use std::io::Write as _;
 use std::time::{Duration, Instant};
-
-/// Opaque-to-the-optimizer identity, re-exported like `criterion::black_box`.
-pub fn black_box<T>(x: T) -> T {
-    std_black_box(x)
-}
 
 /// Throughput annotation (recorded, reported as elements/s).
 #[derive(Debug, Clone, Copy)]
@@ -79,7 +74,7 @@ impl Bencher {
         loop {
             let t = Instant::now();
             for _ in 0..iters {
-                std_black_box(f());
+                black_box(f());
             }
             let elapsed = t.elapsed();
             if elapsed >= target || iters >= (1 << 30) {
@@ -97,7 +92,7 @@ impl Bencher {
         for _ in 1..self.sample_size {
             let t = Instant::now();
             for _ in 0..self.iters_per_sample {
-                std_black_box(f());
+                black_box(f());
             }
             self.samples
                 .push(t.elapsed().as_nanos() as f64 / self.iters_per_sample as f64);

@@ -89,7 +89,10 @@ impl LegMap for DualRmbRing {
         }
     }
 
-    /// The stall window a lone ring's `run_to_quiescence` uses.
+    /// `4N + 8·retry_backoff + 3·head_timeout + 64` ticks. A lone ring's
+    /// `run_to_quiescence` also adds its longest live body; this window
+    /// does not, and `route_identity.rs` pins the stalled dual ring it
+    /// yields.
     fn stall_window(&self, _messages: &[MessageSpec]) -> u64 {
         4 * u64::from(self.cfg.nodes().get())
             + 8 * self.cfg.node.retry_backoff

@@ -88,11 +88,6 @@ impl RmbLattice {
         RmbLattice { dims, cfgs }
     }
 
-    /// The lattice shape.
-    pub fn dims(&self) -> &[u32] {
-        &self.dims
-    }
-
     /// Flat-id distance between neighbours along dimension `d`.
     fn stride(&self, d: usize) -> u32 {
         self.dims[..d].iter().product()

@@ -46,11 +46,11 @@ pub struct LatencyModel {
 /// ```
 pub fn predict(ring: RingSize, m: &MessageSpec) -> LatencyModel {
     let span = u64::from(ring.clockwise_distance(m.source, m.destination));
-    let body = u64::from(m.data_flits);
+    let delivery = rmb_hier::model::leg_delivery_ticks(span, m.data_flits);
     LatencyModel {
         setup: 2 * span,
-        delivery: 3 * span + body + 1,
-        hold: 4 * span + body + 1,
+        delivery,
+        hold: delivery + span,
     }
 }
 

@@ -38,7 +38,7 @@ impl CrossCheck {
 }
 
 /// Cross-checks the RMB link count: `N·k` unidirectional segments.
-pub fn check_rmb(n: u32, k: u16) -> CrossCheck {
+fn check_rmb(n: u32, k: u16) -> CrossCheck {
     // The RMB's structure is by construction N hops x k segments; the
     // simulator's segment array is exactly that object.
     let structural = f64::from(n) * f64::from(k);
@@ -54,7 +54,7 @@ pub fn check_rmb(n: u32, k: u16) -> CrossCheck {
 
 /// Cross-checks the hypercube: the paper's `N log N` counts directed
 /// channels (each node owns `log N` outgoing links).
-pub fn check_hypercube(n: u32) -> CrossCheck {
+fn check_hypercube(n: u32) -> CrossCheck {
     let cube = Hypercube::new(n);
     let k = 1;
     CrossCheck {
@@ -71,7 +71,7 @@ pub fn check_hypercube(n: u32) -> CrossCheck {
 /// counts undirected switch-to-switch links and excludes the `N`
 /// PE-attachment links at the leaves, which the constructed instance
 /// includes — so the structural count is normalised by subtracting `N`.
-pub fn check_fat_tree(n: u32, k: u16) -> CrossCheck {
+fn check_fat_tree(n: u32, k: u16) -> CrossCheck {
     let tree = FatTree::new(n, k);
     CrossCheck {
         arch: Architecture::FatTree,
@@ -91,7 +91,7 @@ pub fn check_fat_tree(n: u32, k: u16) -> CrossCheck {
 /// # Panics
 ///
 /// Panics unless `n / k` is a power of two of at least 2.
-pub fn check_gfc(n: u32, k: u16) -> CrossCheck {
+fn check_gfc(n: u32, k: u16) -> CrossCheck {
     let m = n / u32::from(k);
     let cube = Hypercube::new(m);
     CrossCheck {
@@ -106,7 +106,7 @@ pub fn check_gfc(n: u32, k: u16) -> CrossCheck {
 
 /// Cross-checks the mesh: the paper's `2N` counts undirected links of the
 /// unexpanded mesh (boundary nodes make the exact count `2N - 2√N`).
-pub fn check_mesh(n: u32) -> CrossCheck {
+fn check_mesh(n: u32) -> CrossCheck {
     let mesh = Mesh2D::square(n);
     CrossCheck {
         arch: Architecture::Mesh,

@@ -63,11 +63,6 @@ impl Ehc {
         }
     }
 
-    /// The duplicated dimension.
-    pub const fn duplicated_dimension(&self) -> u32 {
-        self.duplicated
-    }
-
     /// The underlying channel graph.
     pub const fn graph(&self) -> &Graph {
         &self.graph
@@ -135,7 +130,6 @@ mod tests {
         // Directed channels: N * (log N + 1).
         assert_eq!(e.graph().channel_count(), 16 * 5);
         assert_eq!(e.link_count(), 40);
-        assert_eq!(e.duplicated_dimension(), 2);
         // The duplicated dimension has a two-channel bundle.
         assert_eq!(e.graph().channels_between(0, 4).len(), 2);
         assert_eq!(e.graph().channels_between(0, 1).len(), 1);

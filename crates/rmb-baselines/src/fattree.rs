@@ -101,19 +101,9 @@ impl FatTree {
         subtree_leaves.min(u32::from(self.k))
     }
 
-    /// The capacity cap `k`.
-    pub const fn cap(&self) -> u16 {
-        self.k
-    }
-
     /// The underlying channel graph.
     pub const fn graph(&self) -> &Graph {
         &self.graph
-    }
-
-    /// Heap vertex of PE `i`.
-    pub fn leaf(&self, i: u32) -> Vertex {
-        (self.n + i) as Vertex
     }
 
     fn depth(h: Vertex) -> u32 {
@@ -272,6 +262,5 @@ mod tests {
             l.delivered[0].circuit_at,
             f.delivered[0].circuit_at
         );
-        assert!(laid_out.graph().total_wire_length() > flat.graph().total_wire_length());
     }
 }

@@ -33,7 +33,7 @@ pub struct Channel {
 /// let c = g.add_channel(0, 1);
 /// g.add_channel(1, 2);
 /// assert_eq!(g.channel(c).to, 1);
-/// assert_eq!(g.out_channels(0), &[c]);
+/// assert_eq!(g.channels_between(0, 1), vec![c]);
 /// assert_eq!(g.channel_count(), 2);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -132,16 +132,6 @@ impl Graph {
         )
     }
 
-    /// Total wire length of all undirected links, in unit wires: the §3.2
-    /// "total wire length" metric.
-    pub fn total_wire_length(&self) -> u64 {
-        self.channels
-            .iter()
-            .map(|c| u64::from(c.latency))
-            .sum::<u64>()
-            / 2
-    }
-
     /// The channel with the given id.
     ///
     /// # Panics
@@ -149,15 +139,6 @@ impl Graph {
     /// Panics if `id` is out of range.
     pub fn channel(&self, id: usize) -> Channel {
         self.channels[id]
-    }
-
-    /// All channel ids leaving `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn out_channels(&self, v: Vertex) -> &[usize] {
-        &self.out[v]
     }
 
     /// All channel ids from `from` to `to` (parallel bundle).
@@ -222,7 +203,6 @@ mod tests {
         let mut g = Graph::new(3);
         g.add_link_with_latency(0, 1, 4);
         g.add_link(1, 2);
-        assert_eq!(g.total_wire_length(), 5);
         assert_eq!(g.channel(0).latency, 4);
     }
 

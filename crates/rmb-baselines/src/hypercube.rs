@@ -19,13 +19,11 @@ use rmb_types::MessageSpec;
 /// use rmb_baselines::{Hypercube, Network};
 ///
 /// let cube = Hypercube::new(32);
-/// assert_eq!(cube.dimensions(), 5);
 /// assert_eq!(cube.link_count(), 32 * 5 / 2); // N log N / 2 undirected
 /// ```
 #[derive(Debug, Clone)]
 pub struct Hypercube {
     n: u32,
-    dims: u32,
     layout_wires: bool,
     graph: Graph,
 }
@@ -66,15 +64,9 @@ impl Hypercube {
         }
         Hypercube {
             n,
-            dims,
             layout_wires,
             graph,
         }
-    }
-
-    /// Address width `log2 N`.
-    pub const fn dimensions(&self) -> u32 {
-        self.dims
     }
 
     /// The underlying channel graph.
@@ -136,7 +128,6 @@ mod tests {
     #[test]
     fn structure_counts() {
         let c = Hypercube::new(16);
-        assert_eq!(c.dimensions(), 4);
         assert_eq!(c.graph().channel_count(), 16 * 4); // directed
         assert_eq!(c.link_count(), 32);
     }
@@ -181,7 +172,6 @@ mod tests {
         let l = laid_out.route_messages(&msgs, 1_000);
         assert_eq!(f.delivered[0].circuit_at, 4);
         assert_eq!(l.delivered[0].circuit_at, 6);
-        assert!(laid_out.graph().total_wire_length() > flat.graph().total_wire_length());
     }
 
     #[test]

@@ -71,16 +71,6 @@ impl Mesh2D {
         Mesh2D::new(side, side)
     }
 
-    /// Mesh width.
-    pub const fn cols(&self) -> u32 {
-        self.cols
-    }
-
-    /// Mesh height.
-    pub const fn rows(&self) -> u32 {
-        self.rows
-    }
-
     /// The underlying channel graph.
     pub const fn graph(&self) -> &Graph {
         &self.graph

@@ -81,16 +81,6 @@ impl KAryNCube {
         }
     }
 
-    /// Ring radix `r`.
-    pub const fn radix(&self) -> u32 {
-        self.radix
-    }
-
-    /// Dimension count `d`.
-    pub const fn dims(&self) -> u32 {
-        self.dims
-    }
-
     /// The underlying channel graph (two VCs per physical wire).
     pub const fn graph(&self) -> &Graph {
         &self.graph

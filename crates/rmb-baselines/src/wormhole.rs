@@ -106,7 +106,7 @@ pub struct WormholeReport {
 /// for i in 0..4 {
 ///     g.add_channel(i, (i + 1) % 4);
 /// }
-/// let route = |g: &Graph, at: Vertex, _d: Vertex, _s: u64| g.out_channels(at).to_vec();
+/// let route = |g: &Graph, at: Vertex, _d: Vertex, _s: u64| g.channels_between(at, (at + 1) % 4);
 /// let mut eng = WormholeEngine::new(g, route, |n| n as Vertex);
 /// eng.submit(MessageSpec::new(NodeId::new(0), NodeId::new(2), 3));
 /// while eng.live_count() > 0 && eng.now() < 1_000 {
@@ -245,7 +245,7 @@ impl<'a> WormholeEngine<'a> {
     }
 
     /// Consumes the engine into a batch-style report.
-    pub fn into_report(self) -> WormholeReport {
+    fn into_report(self) -> WormholeReport {
         WormholeReport {
             delivered: self.delivered,
             ticks: self.now,
@@ -500,7 +500,7 @@ mod tests {
     }
 
     fn ring_route(g: &Graph, at: Vertex, _dst: Vertex, _salt: u64) -> Vec<usize> {
-        g.out_channels(at).to_vec()
+        g.channels_between(at, (at + 1) % 4)
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! work): online RMB makespan against the offline greedy schedule and the
 //! congestion lower bound.
 
-use rmb_analysis::{offline_schedule, ring_lower_bound, RmbRing, Table};
+use rmb_analysis::{competitive_ratio, offline_schedule, ring_lower_bound, RmbRing, Table};
 use rmb_baselines::Network;
 use rmb_types::{RingSize, RmbConfig};
 use rmb_workloads::{PermutationKind, SizeDistribution, WorkloadConfig, WorkloadSuite};
@@ -66,11 +66,7 @@ pub fn competitiveness(n: u32, k: u16, flits: u32, seed: u64) -> Vec<Competitive
             online,
             offline: sched.makespan,
             lower_bound: lb,
-            ratio: if sched.makespan > 0 {
-                online as f64 / sched.makespan as f64
-            } else {
-                0.0
-            },
+            ratio: competitive_ratio(online, &sched).unwrap_or(0.0),
         })
     });
     rows.into_iter().flatten().collect()

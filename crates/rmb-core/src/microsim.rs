@@ -19,12 +19,11 @@
 
 use crate::compaction::{assessed_in_phase, EndpointHeight, HopContext, Phase};
 use crate::status::{PortStatus, SourceDir};
-use rmb_sim::IdSlab;
 use rmb_types::{
     BusIndex, DeliveredMessage, MessageSpec, NodeId, ProtocolError, RequestId, RingSize, RmbConfig,
     VirtualBusId,
 };
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 /// One in-flight flit of a circuit: its sequence number (0 = header,
 /// 1..=m data, m+1 = final) and the hop index it currently occupies.
@@ -88,8 +87,8 @@ pub struct FlitLevelRmb {
     /// Segment occupancy, `[hop][bus]`.
     seg_owner: Vec<Vec<Option<VirtualBusId>>>,
     /// Live circuits, keyed by `VirtualBusId::get` (ids are monotone, so
-    /// the slab's sorted id list iterates in creation order for free).
-    circuits: IdSlab<Circuit>,
+    /// every phase walks them in creation order).
+    circuits: BTreeMap<u64, Circuit>,
     nodes: Vec<Node>,
     next_request: u64,
     next_circuit: u64,
@@ -140,7 +139,7 @@ impl FlitLevelRmb {
             now: 0,
             out_status: vec![vec![PortStatus::UNUSED; k]; n],
             seg_owner: vec![vec![None; k]; n],
-            circuits: IdSlab::new(),
+            circuits: BTreeMap::new(),
             nodes: vec![Node::default(); n],
             next_request: 0,
             next_circuit: 0,
@@ -220,14 +219,12 @@ impl FlitLevelRmb {
     fn move_acks_and_flits(&mut self) {
         let ring = self.cfg.nodes();
         let now = self.now;
-        // The only phase that removes circuits: detach the slab so each
-        // circuit mutates in place (no remove/re-insert churn) while the
-        // node and register state stays freely borrowable; removals are
-        // lazy and pruned in one pass at the end.
-        let mut circuits = std::mem::replace(&mut self.circuits, IdSlab::new());
-        for i in 0..circuits.active().len() {
-            let id = VirtualBusId::new(circuits.active()[i]);
-            let c = circuits.get_mut(id.get()).expect("active ids are live");
+        // The only phase that removes circuits: detach the map so each
+        // circuit mutates in place while the node and register state stays
+        // freely borrowable. No phase inserts while it walks.
+        let mut circuits = std::mem::take(&mut self.circuits);
+        circuits.retain(|&id, c| {
+            let id = VirtualBusId::new(id);
             let span = c.span(ring) as usize;
             let mut remove = false;
             match c.state {
@@ -333,32 +330,23 @@ impl FlitLevelRmb {
                         refusals,
                     ));
                 }
-                circuits.remove(id.get());
             }
-        }
-        circuits.compact_active();
+            !remove
+        });
         self.circuits = circuits;
     }
 
     fn decide(&mut self) {
         let ring = self.cfg.nodes();
-        for i in 0..self.circuits.active().len() {
-            let id = self.circuits.active()[i];
-            let (head, dst);
-            {
-                let c = self.circuits.get(id).expect("active ids are live");
-                if !matches!(c.state, CircuitState::Establishing) {
-                    continue;
-                }
-                head = c.head_node(ring);
-                dst = c.spec.destination;
-            }
-            if head != dst {
+        for c in self.circuits.values_mut() {
+            if !matches!(c.state, CircuitState::Establishing) {
                 continue;
             }
-            let accept = !self.nodes[dst.as_usize()].receiving;
-            let c = self.circuits.get_mut(id).expect("live");
-            if accept {
+            let dst = c.spec.destination;
+            if c.head_node(ring) != dst {
+                continue;
+            }
+            if !self.nodes[dst.as_usize()].receiving {
                 self.nodes[dst.as_usize()].receiving = true;
                 c.state = CircuitState::HackReturning { pos: 0 };
                 // The header flit is consumed at the destination.
@@ -373,18 +361,13 @@ impl FlitLevelRmb {
     fn extend(&mut self) {
         let ring = self.cfg.nodes();
         let top = self.cfg.top_bus();
-        for i in 0..self.circuits.active().len() {
-            let id = self.circuits.active()[i];
-            let head;
-            {
-                let c = self.circuits.get(id).expect("active ids are live");
-                if !matches!(c.state, CircuitState::Establishing) {
-                    continue;
-                }
-                head = c.head_node(ring);
-                if head == c.spec.destination {
-                    continue;
-                }
+        for (&id, c) in &mut self.circuits {
+            if !matches!(c.state, CircuitState::Establishing) {
+                continue;
+            }
+            let head = c.head_node(ring);
+            if head == c.spec.destination {
+                continue;
             }
             let hop = head.as_usize();
             if self.seg_owner[hop][top.as_usize()].is_some() {
@@ -394,7 +377,6 @@ impl FlitLevelRmb {
             // `top` receives from the trail (straight or from below) — or
             // from the PE at the source.
             self.seg_owner[hop][top.as_usize()] = Some(VirtualBusId::new(id));
-            let c = self.circuits.get_mut(id).expect("live");
             let prev = *c.heights.last().expect("has hops");
             c.heights.push(top);
             let offset = i32::from(prev.index()) - i32::from(top.index());
@@ -463,7 +445,7 @@ impl FlitLevelRmb {
         // nothing here.
         let mut plan = std::mem::take(&mut self.scratch_plan);
         plan.clear();
-        for (id, c) in self.circuits.iter() {
+        for (&id, c) in &self.circuits {
             if matches!(
                 c.state,
                 CircuitState::NackReturning { .. } | CircuitState::FackReturning { .. }
@@ -532,7 +514,7 @@ impl FlitLevelRmb {
         // Only three facts about the circuit matter for the register
         // choreography; copy them out instead of cloning the whole circuit.
         let (source, up_in, down_out) = {
-            let c = self.circuits.get(id.get()).expect("live");
+            let c = &self.circuits[&id.get()];
             (
                 c.spec.source,
                 if j == 0 { None } else { Some(c.heights[j - 1]) },
@@ -579,7 +561,7 @@ impl FlitLevelRmb {
         assert!(self.seg_owner[node][to.as_usize()].is_none());
         self.seg_owner[node][from.as_usize()] = None;
         self.seg_owner[node][to.as_usize()] = Some(id);
-        self.circuits.get_mut(id.get()).expect("live").heights[j] = to;
+        self.circuits.get_mut(&id.get()).expect("live").heights[j] = to;
         self.moves += 1;
     }
 

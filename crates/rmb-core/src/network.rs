@@ -381,11 +381,6 @@ impl RmbNetwork {
         self.buses.values()
     }
 
-    /// Looks up a live virtual bus.
-    pub fn virtual_bus(&self, id: VirtualBusId) -> Option<&VirtualBus> {
-        self.buses.get(id)
-    }
-
     /// Protocol state of a live virtual bus. Hot circuit state lives in a
     /// struct-of-arrays lane beside the bus records, so it is read here
     /// rather than off [`VirtualBus`] itself.

@@ -127,18 +127,13 @@ impl PortStatus {
         PortStatus(self.0 & !dir.bit())
     }
 
-    /// `true` when the port receives from the given direction.
-    pub const fn receives(self, dir: SourceDir) -> bool {
-        self.0 & dir.bit() != 0
-    }
-
     /// `true` when the port is not driven at all (Table 1 row `000`).
     pub const fn is_unused(self) -> bool {
         self.0 == 0
     }
 
     /// Number of input ports currently driving this output.
-    pub const fn source_count(self) -> u32 {
+    const fn source_count(self) -> u32 {
         self.0.count_ones()
     }
 
@@ -163,13 +158,6 @@ impl PortStatus {
             0b100 => Some(SourceDir::Above),
             _ => None,
         }
-    }
-
-    /// Iterates over the directions currently driving this port.
-    pub fn sources(self) -> impl Iterator<Item = SourceDir> {
-        SourceDir::ALL
-            .into_iter()
-            .filter(move |d| self.receives(*d))
     }
 
     /// The interpretation string Table 1 prints for this code.
@@ -255,9 +243,6 @@ mod tests {
             .with(SourceDir::Straight)
             .with(SourceDir::Above);
         assert_eq!(s.bits(), 0b110);
-        assert!(s.receives(SourceDir::Straight));
-        assert!(s.receives(SourceDir::Above));
-        assert!(!s.receives(SourceDir::Below));
         let s = s.without(SourceDir::Above);
         assert_eq!(s.sole_source(), Some(SourceDir::Straight));
         assert!(s.is_steady());
@@ -289,13 +274,6 @@ mod tests {
         }
         assert_eq!(SourceDir::from_offset(2), None);
         assert_eq!(SourceDir::from_offset(-2), None);
-    }
-
-    #[test]
-    fn sources_iterates_in_bottom_up_order() {
-        let s = PortStatus::from_bits(0b011).unwrap();
-        let dirs: Vec<_> = s.sources().collect();
-        assert_eq!(dirs, vec![SourceDir::Below, SourceDir::Straight]);
     }
 
     #[test]

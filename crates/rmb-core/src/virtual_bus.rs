@@ -151,13 +151,6 @@ impl StreamState {
         }
     }
 
-    /// Flits sent but not yet delivered.
-    #[inline]
-    #[must_use]
-    pub const fn undelivered(&self) -> u32 {
-        self.next_seq - self.delivered
-    }
-
     /// Flits sent but not yet acked — the window occupancy.
     #[inline]
     #[must_use]
@@ -205,12 +198,6 @@ pub struct VirtualBus {
 }
 
 impl VirtualBus {
-    /// Number of hops between source and destination along the clockwise
-    /// ring — the final span of the circuit.
-    pub fn full_span(&self, ring: RingSize) -> u32 {
-        ring.clockwise_distance(self.spec.source, self.spec.destination)
-    }
-
     /// The node the header flit is parked at while establishing: one hop
     /// past the last occupied segment.
     pub fn head_node(&self, ring: RingSize) -> NodeId {
@@ -259,7 +246,6 @@ mod tests {
     fn span_and_head_wrap_around_the_ring() {
         let ring = RingSize::new(8).unwrap();
         let b = bus(6, 2, &[3, 3]);
-        assert_eq!(b.full_span(ring), 4);
         assert_eq!(b.head_node(ring), NodeId::new(0));
         assert_eq!(b.hop_upstream_node(ring, 0), NodeId::new(6));
         assert_eq!(b.hop_upstream_node(ring, 1), NodeId::new(7));
@@ -343,7 +329,6 @@ mod tests {
         s.next_seq = 7;
         s.delivered = 4;
         s.acked = 2;
-        assert_eq!(s.undelivered(), 3);
         assert_eq!(s.unacked(), 5);
     }
 }

@@ -264,7 +264,7 @@ impl Workload {
     }
 
     /// Whether this workload streams arrivals (needs a `[serve]` section).
-    pub fn is_streaming(&self) -> bool {
+    fn is_streaming(&self) -> bool {
         matches!(
             self,
             Workload::Poisson { .. } | Workload::Bursty { .. } | Workload::Exchange { .. }

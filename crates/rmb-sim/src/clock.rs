@@ -33,11 +33,6 @@ impl Tick {
         self.0
     }
 
-    /// Saturating difference, in ticks.
-    pub const fn since(self, earlier: Tick) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
-
     /// The next tick.
     pub const fn next(self) -> Tick {
         Tick(self.0 + 1)
@@ -87,8 +82,6 @@ mod tests {
         assert_eq!(t, Tick::new(3));
         assert_eq!(t + 2, Tick::new(5));
         assert_eq!(Tick::new(5) - Tick::new(2), 3);
-        assert_eq!(Tick::new(2).since(Tick::new(5)), 0);
-        assert_eq!(Tick::new(5).since(Tick::new(2)), 3);
         assert_eq!(Tick::new(1).next(), Tick::new(2));
     }
 

@@ -8,10 +8,8 @@
 //! * [`EventQueue`] — a stable discrete-event queue (FIFO among events
 //!   due at the same tick) over a binary heap, with an exact O(1) peek,
 //!   used by the event-driven protocol scheduler and the serving driver.
-//! * [`IdSlab`] — flat id-keyed storage with sorted, allocation-free id
-//!   iteration for hot per-entity loops.
-//! * [`arc_any`] / [`arc_word`] — wrap-aware masked range queries over
-//!   circular `u64`-packed bitmaps, the substrate of the bit-parallel
+//! * [`arc_word`] — the 64 positions of a circular `u64`-packed bitmap
+//!   from any start, wrap-aware: the substrate of the bit-parallel
 //!   occupancy kernel.
 //! * [`SimRng`] — seeded, stream-splittable randomness so that every
 //!   experiment is reproducible from a single seed.
@@ -45,14 +43,11 @@ pub mod par;
 mod queue;
 mod rng;
 mod sketch;
-mod slab;
 pub mod stats;
 pub mod trace;
 
-pub use bitset::{arc_any, arc_word};
+pub use bitset::arc_word;
 pub use clock::Tick;
-pub use par::{par_map, par_map_with};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use sketch::QuantileSketch;
-pub use slab::IdSlab;

@@ -10,7 +10,7 @@
 //! 2. results are written to the slot of the cell's input index,
 //! 3. no cell reads another cell's output.
 //!
-//! Worker count comes from [`available_parallelism`] and can be pinned
+//! Worker count is the host's available parallelism and can be pinned
 //! with the `RMB_THREADS` environment variable (`RMB_THREADS=1` forces a
 //! sequential in-order run, useful for A/B determinism checks).
 
@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Number of worker threads a sweep will use.
-pub fn available_parallelism() -> usize {
+fn available_parallelism() -> usize {
     if let Ok(v) = std::env::var("RMB_THREADS") {
         if let Ok(n) = v.parse::<usize>() {
             return n.max(1);
@@ -38,7 +38,7 @@ pub fn available_parallelism() -> usize {
 /// # Panics
 ///
 /// Propagates the first worker panic.
-pub fn par_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
+fn par_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -72,7 +72,12 @@ where
         .collect()
 }
 
-/// [`par_map_with`] using [`available_parallelism`] workers.
+/// Maps `f` over `items` on one scoped worker per available core (or
+/// `RMB_THREADS` workers), preserving input order in the output.
+///
+/// # Panics
+///
+/// Propagates the first worker panic.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

@@ -83,7 +83,7 @@ impl OnlineStats {
     }
 
     /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 
@@ -95,31 +95,6 @@ impl OnlineStats {
     /// Largest sample, if any.
     pub const fn max(&self) -> Option<f64> {
         self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
     }
 }
 
@@ -259,42 +234,6 @@ mod tests {
         assert!((s.variance() - 1.25).abs() < 1e-12);
         assert_eq!(s.min(), Some(1.0));
         assert_eq!(s.max(), Some(4.0));
-    }
-
-    #[test]
-    fn online_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..50).map(|i| (i * i) as f64).collect();
-        let mut whole = OnlineStats::default();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut left = OnlineStats::default();
-        let mut right = OnlineStats::default();
-        for &x in &xs[..20] {
-            left.record(x);
-        }
-        for &x in &xs[20..] {
-            right.record(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-6);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn online_stats_merge_with_empty() {
-        let mut a = OnlineStats::default();
-        a.record(5.0);
-        let b = OnlineStats::default();
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        let mut e = OnlineStats::default();
-        e.merge(&a);
-        assert_eq!(e.count(), 1);
-        assert_eq!(e.mean(), 5.0);
     }
 
     #[test]

@@ -137,14 +137,6 @@ impl fmt::Display for HierLeg {
 pub enum HierConfigError {
     /// A hierarchy needs at least two local rings.
     TooFewRings(u32),
-    /// The global ring's node count must equal the number of local rings
-    /// (one bridge per local ring).
-    GlobalSizeMismatch {
-        /// Number of local rings requested.
-        rings: u32,
-        /// Node count of the supplied global ring configuration.
-        global_nodes: u32,
-    },
     /// The bridge position lies outside the local ring.
     BridgeOutsideRing {
         /// The out-of-range bridge position.
@@ -164,13 +156,6 @@ impl fmt::Display for HierConfigError {
             HierConfigError::TooFewRings(r) => {
                 write!(f, "a hierarchy needs at least 2 local rings, got {r}")
             }
-            HierConfigError::GlobalSizeMismatch {
-                rings,
-                global_nodes,
-            } => write!(
-                f,
-                "global ring has {global_nodes} nodes but there are {rings} local rings"
-            ),
             HierConfigError::BridgeOutsideRing { bridge, nodes } => write!(
                 f,
                 "bridge position {bridge} is outside the {nodes}-node local ring"
@@ -218,51 +203,6 @@ impl HierConfig {
             head_timeout: None,
             retry_backoff: None,
         }
-    }
-
-    /// Validates and assembles a configuration from explicit ring
-    /// configurations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HierConfigError`] when fewer than two rings are
-    /// requested, the global ring size differs from the ring count, the
-    /// bridge position is outside the local ring, or the queue depth is
-    /// zero.
-    pub fn new(
-        rings: u32,
-        local: RmbConfig,
-        global: RmbConfig,
-        bridge: NodeId,
-        bridge_queue_depth: u32,
-        bridge_backoff: u64,
-    ) -> Result<Self, HierConfigError> {
-        if rings < 2 {
-            return Err(HierConfigError::TooFewRings(rings));
-        }
-        if global.nodes().get() != rings {
-            return Err(HierConfigError::GlobalSizeMismatch {
-                rings,
-                global_nodes: global.nodes().get(),
-            });
-        }
-        if !local.nodes().contains(bridge) {
-            return Err(HierConfigError::BridgeOutsideRing {
-                bridge,
-                nodes: local.nodes().get(),
-            });
-        }
-        if bridge_queue_depth == 0 {
-            return Err(HierConfigError::ZeroQueueDepth);
-        }
-        Ok(HierConfig {
-            rings,
-            local,
-            global,
-            bridge,
-            bridge_queue_depth,
-            bridge_backoff: bridge_backoff.max(1),
-        })
     }
 
     /// Number of local rings (also the global ring's node count).
@@ -383,13 +323,14 @@ impl HierConfigBuilder {
         self
     }
 
-    /// Finalises the configuration.
+    /// Finalises the configuration. The global ring has one node per
+    /// local ring: its bridge.
     ///
     /// # Errors
     ///
-    /// Returns [`HierConfigError`] under the same conditions as
-    /// [`HierConfig::new`], or when an underlying ring configuration is
-    /// itself invalid.
+    /// Returns [`HierConfigError`] when a ring configuration is invalid,
+    /// fewer than two rings are requested, the bridge position is outside
+    /// the local ring, or the queue depth is zero.
     pub fn build(self) -> Result<HierConfig, HierConfigError> {
         let mut local = RmbConfig::builder(self.local_nodes, self.local_buses);
         let mut global = RmbConfig::builder(self.rings.max(2), self.global_buses);
@@ -401,14 +342,27 @@ impl HierConfigBuilder {
             local = local.retry_backoff(b);
             global = global.retry_backoff(b);
         }
-        HierConfig::new(
-            self.rings,
-            local.build()?,
-            global.build()?,
-            self.bridge,
-            self.bridge_queue_depth,
-            self.bridge_backoff,
-        )
+        let (local, global) = (local.build()?, global.build()?);
+        if self.rings < 2 {
+            return Err(HierConfigError::TooFewRings(self.rings));
+        }
+        if !local.nodes().contains(self.bridge) {
+            return Err(HierConfigError::BridgeOutsideRing {
+                bridge: self.bridge,
+                nodes: local.nodes().get(),
+            });
+        }
+        if self.bridge_queue_depth == 0 {
+            return Err(HierConfigError::ZeroQueueDepth);
+        }
+        Ok(HierConfig {
+            rings: self.rings,
+            local,
+            global,
+            bridge: self.bridge,
+            bridge_queue_depth: self.bridge_queue_depth,
+            bridge_backoff: self.bridge_backoff.max(1),
+        })
     }
 }
 
@@ -482,12 +436,6 @@ mod tests {
             HierConfig::builder(4, 8, 0).build(),
             Err(HierConfigError::Ring(_))
         ));
-        let local = RmbConfig::new(8, 2).unwrap();
-        let global = RmbConfig::new(3, 2).unwrap();
-        assert!(matches!(
-            HierConfig::new(4, local, global, NodeId::new(0), 4, 8),
-            Err(HierConfigError::GlobalSizeMismatch { .. })
-        ));
     }
 
     #[test]
@@ -507,11 +455,6 @@ mod tests {
     fn error_display_is_lowercase() {
         let msgs = [
             HierConfigError::TooFewRings(1).to_string(),
-            HierConfigError::GlobalSizeMismatch {
-                rings: 4,
-                global_nodes: 3,
-            }
-            .to_string(),
             HierConfigError::BridgeOutsideRing {
                 bridge: NodeId::new(9),
                 nodes: 8,

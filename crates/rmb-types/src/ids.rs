@@ -113,11 +113,6 @@ impl BusIndex {
         self.0.is_multiple_of(2)
     }
 
-    /// Absolute distance between two bus indices.
-    pub const fn distance(self, other: BusIndex) -> u16 {
-        self.0.abs_diff(other.0)
-    }
-
     /// Returns `true` if `other` is reachable from `self` through a single
     /// INC, i.e. the indices differ by at most one. The paper's INC design
     /// allows input port `l` to connect only to output ports
@@ -139,15 +134,15 @@ impl From<u16> for BusIndex {
     }
 }
 
-/// The size `N` of the ring, with modular successor/predecessor arithmetic.
+/// The size `N` of the ring, with modular clockwise arithmetic (all
+/// indices modulo `N`, §2.2).
 ///
 /// # Examples
 ///
 /// ```
 /// use rmb_types::{NodeId, RingSize};
 /// let ring = RingSize::new(8).unwrap();
-/// assert_eq!(ring.successor(NodeId::new(7)), NodeId::new(0));
-/// assert_eq!(ring.predecessor(NodeId::new(0)), NodeId::new(7));
+/// assert_eq!(ring.advance(NodeId::new(7), 1), NodeId::new(0));
 /// assert_eq!(ring.clockwise_distance(NodeId::new(6), NodeId::new(2)), 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -172,16 +167,6 @@ impl RingSize {
     /// Number of nodes as a `usize`.
     pub const fn as_usize(self) -> usize {
         self.0 as usize
-    }
-
-    /// The clockwise neighbour of `node` (all indices modulo `N`, §2.2).
-    pub const fn successor(self, node: NodeId) -> NodeId {
-        NodeId((node.index() + 1) % self.0)
-    }
-
-    /// The counter-clockwise neighbour of `node`.
-    pub const fn predecessor(self, node: NodeId) -> NodeId {
-        NodeId((node.index() + self.0 - 1) % self.0)
     }
 
     /// Number of clockwise hops from `from` to `to`. Data on the RMB flows
@@ -319,8 +304,6 @@ mod tests {
     #[test]
     fn ring_modular_arithmetic() {
         let ring = RingSize::new(5).unwrap();
-        assert_eq!(ring.successor(NodeId::new(4)), NodeId::new(0));
-        assert_eq!(ring.predecessor(NodeId::new(0)), NodeId::new(4));
         assert_eq!(ring.clockwise_distance(NodeId::new(1), NodeId::new(1)), 0);
         assert_eq!(ring.clockwise_distance(NodeId::new(3), NodeId::new(1)), 3);
         assert_eq!(ring.advance(NodeId::new(3), 7), NodeId::new(0));
@@ -336,14 +319,5 @@ mod tests {
         assert_eq!(RequestId::new(3).to_string(), "r3");
         assert_eq!(VirtualBusId::new(4).to_string(), "v4");
         assert_eq!(RingSize::new(6).unwrap().to_string(), "N=6");
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        use crate::json::{FromJson, ToJson};
-        let n = NodeId::new(9);
-        assert_eq!(NodeId::from_json(&n.to_json()).unwrap(), n);
-        let b = BusIndex::new(2);
-        assert_eq!(BusIndex::from_json(&b.to_json()).unwrap(), b);
     }
 }

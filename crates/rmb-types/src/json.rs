@@ -1,28 +1,26 @@
-//! Minimal, dependency-free JSON encoding for the types experiments
-//! serialize.
+//! Minimal, dependency-free JSON: a canonical emitter and a small
+//! recursive-descent parser.
 //!
-//! The workspace runs in hermetic environments with no external crates, so
-//! instead of a serde derive this module hand-rolls a canonical emitter and
-//! a small recursive-descent parser for exactly the types that cross a
-//! process boundary: [`RmbConfig`], [`MessageSpec`], [`DeliveredMessage`]
-//! and the identifier newtypes. The emitted form is canonical (fixed key
-//! order, no whitespace) so byte-equality of two reports implies value
+//! The workspace has no external crates, so instead of a serde derive
+//! this module hand-rolls [`Value::parse`], [`escape`] and the codec of
+//! the one type that crosses a process boundary: [`MessageSpec`], the
+//! element of a recorded trace file. The emitted form is canonical (fixed
+//! key order, no whitespace) so byte-equality of two traces implies value
 //! equality.
 //!
 //! # Examples
 //!
 //! ```
-//! use rmb_types::json::{FromJson, ToJson};
+//! use rmb_types::json::Value;
 //! use rmb_types::{MessageSpec, NodeId};
 //!
 //! let m = MessageSpec::new(NodeId::new(0), NodeId::new(3), 16).at(100);
-//! let s = m.to_json();
-//! assert_eq!(MessageSpec::from_json(&s).unwrap(), m);
+//! let v = Value::parse(&m.to_json()).unwrap();
+//! assert_eq!(MessageSpec::from_value(&v).unwrap(), m);
 //! ```
 
-use crate::config::{AckMode, InsertionPolicy, RmbConfig};
-use crate::ids::{BusIndex, NodeId, RequestId};
-use crate::message::{DeliveredMessage, MessageSpec};
+use crate::ids::NodeId;
+use crate::message::MessageSpec;
 use std::fmt;
 
 /// Parse error: byte offset plus a short description.
@@ -107,11 +105,6 @@ impl Value {
     /// The value as a `u32`.
     pub fn as_u32(&self) -> Option<u32> {
         self.as_u64().and_then(|v| u32::try_from(v).ok())
-    }
-
-    /// The value as a `u16`.
-    pub fn as_u16(&self) -> Option<u16> {
-        self.as_u64().and_then(|v| u16::try_from(v).ok())
     }
 
     /// The value as an `f64` (integers widen; precision loss accepted).
@@ -370,21 +363,6 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Types with a canonical JSON form.
-pub trait ToJson {
-    /// Canonical (fixed key order, no whitespace) JSON encoding.
-    fn to_json(&self) -> String;
-}
-
-/// Types parseable from their canonical JSON form.
-pub trait FromJson: Sized {
-    /// Parses the canonical encoding produced by [`ToJson::to_json`].
-    fn from_json(s: &str) -> Result<Self, JsonError>;
-
-    /// Reconstructs the value from an already-parsed [`Value`].
-    fn from_value(v: &Value) -> Result<Self, JsonError>;
-}
-
 fn bad(message: &str) -> JsonError {
     JsonError {
         at: 0,
@@ -392,42 +370,10 @@ fn bad(message: &str) -> JsonError {
     }
 }
 
-impl ToJson for NodeId {
-    fn to_json(&self) -> String {
-        self.index().to_string()
-    }
-}
-
-impl FromJson for NodeId {
-    fn from_json(s: &str) -> Result<Self, JsonError> {
-        Self::from_value(&Value::parse(s)?)
-    }
-    fn from_value(v: &Value) -> Result<Self, JsonError> {
-        v.as_u32()
-            .map(NodeId::new)
-            .ok_or_else(|| bad("NodeId: expected u32"))
-    }
-}
-
-impl ToJson for BusIndex {
-    fn to_json(&self) -> String {
-        self.index().to_string()
-    }
-}
-
-impl FromJson for BusIndex {
-    fn from_json(s: &str) -> Result<Self, JsonError> {
-        Self::from_value(&Value::parse(s)?)
-    }
-    fn from_value(v: &Value) -> Result<Self, JsonError> {
-        v.as_u16()
-            .map(BusIndex::new)
-            .ok_or_else(|| bad("BusIndex: expected u16"))
-    }
-}
-
-impl ToJson for MessageSpec {
-    fn to_json(&self) -> String {
+impl MessageSpec {
+    /// Canonical JSON encoding (fixed key order, no whitespace): one
+    /// element of a recorded trace file.
+    pub fn to_json(&self) -> String {
         format!(
             "{{\"source\":{},\"destination\":{},\"data_flits\":{},\"inject_at\":{}}}",
             self.source.index(),
@@ -436,13 +382,14 @@ impl ToJson for MessageSpec {
             self.inject_at
         )
     }
-}
 
-impl FromJson for MessageSpec {
-    fn from_json(s: &str) -> Result<Self, JsonError> {
-        Self::from_value(&Value::parse(s)?)
-    }
-    fn from_value(v: &Value) -> Result<Self, JsonError> {
+    /// Reconstructs a spec from a parsed [`to_json`](Self::to_json)
+    /// object.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError`] when a field is missing or out of range.
+    pub fn from_value(v: &Value) -> Result<Self, JsonError> {
         Ok(MessageSpec {
             source: NodeId::new(
                 v.field("source")?
@@ -463,153 +410,6 @@ impl FromJson for MessageSpec {
                 .as_u64()
                 .ok_or_else(|| bad("inject_at: expected u64"))?,
         })
-    }
-}
-
-impl ToJson for DeliveredMessage {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"request\":{},\"spec\":{},\"requested_at\":{},\"circuit_at\":{},\"delivered_at\":{},\"refusals\":{}}}",
-            self.request.get(),
-            self.spec.to_json(),
-            self.requested_at,
-            self.circuit_at,
-            self.delivered_at,
-            self.refusals
-        )
-    }
-}
-
-impl FromJson for DeliveredMessage {
-    fn from_json(s: &str) -> Result<Self, JsonError> {
-        Self::from_value(&Value::parse(s)?)
-    }
-    fn from_value(v: &Value) -> Result<Self, JsonError> {
-        Ok(DeliveredMessage {
-            request: RequestId::new(
-                v.field("request")?
-                    .as_u64()
-                    .ok_or_else(|| bad("request: expected u64"))?,
-            ),
-            spec: MessageSpec::from_value(v.field("spec")?)?,
-            requested_at: v
-                .field("requested_at")?
-                .as_u64()
-                .ok_or_else(|| bad("requested_at: expected u64"))?,
-            circuit_at: v
-                .field("circuit_at")?
-                .as_u64()
-                .ok_or_else(|| bad("circuit_at: expected u64"))?,
-            delivered_at: v
-                .field("delivered_at")?
-                .as_u64()
-                .ok_or_else(|| bad("delivered_at: expected u64"))?,
-            refusals: v
-                .field("refusals")?
-                .as_u32()
-                .ok_or_else(|| bad("refusals: expected u32"))?,
-        })
-    }
-}
-
-impl ToJson for RmbConfig {
-    fn to_json(&self) -> String {
-        let insertion = match self.insertion {
-            InsertionPolicy::TopBusOnly => "\"top_bus_only\"",
-            InsertionPolicy::AnyFreeBus => "\"any_free_bus\"",
-        };
-        let head_timeout = match self.head_timeout {
-            Some(t) => t.to_string(),
-            None => "null".to_string(),
-        };
-        let ack_mode = match self.ack_mode {
-            AckMode::PerFlit => "\"per_flit\"".to_string(),
-            AckMode::Windowed { window } => format!("{{\"windowed\":{window}}}"),
-            AckMode::Unlimited => "\"unlimited\"".to_string(),
-        };
-        format!(
-            "{{\"nodes\":{},\"buses\":{},\"compaction\":{},\"early_compaction\":{},\"insertion\":{},\"head_timeout\":{},\"ack_mode\":{},\"node\":{{\"max_concurrent_sends\":{},\"max_concurrent_receives\":{},\"retry_backoff\":{}}}}}",
-            self.nodes().get(),
-            self.buses(),
-            self.compaction,
-            self.early_compaction,
-            insertion,
-            head_timeout,
-            ack_mode,
-            self.node.max_concurrent_sends,
-            self.node.max_concurrent_receives,
-            self.node.retry_backoff
-        )
-    }
-}
-
-impl FromJson for RmbConfig {
-    fn from_json(s: &str) -> Result<Self, JsonError> {
-        Self::from_value(&Value::parse(s)?)
-    }
-    fn from_value(v: &Value) -> Result<Self, JsonError> {
-        let n = v
-            .field("nodes")?
-            .as_u32()
-            .ok_or_else(|| bad("nodes: expected u32"))?;
-        let k = v
-            .field("buses")?
-            .as_u16()
-            .ok_or_else(|| bad("buses: expected u16"))?;
-        let node = v.field("node")?;
-        let mut b = RmbConfig::builder(n, k)
-            .compaction(
-                v.field("compaction")?
-                    .as_bool()
-                    .ok_or_else(|| bad("compaction: expected bool"))?,
-            )
-            .early_compaction(
-                v.field("early_compaction")?
-                    .as_bool()
-                    .ok_or_else(|| bad("early_compaction: expected bool"))?,
-            )
-            .insertion(match v.field("insertion")?.as_str() {
-                Some("top_bus_only") => InsertionPolicy::TopBusOnly,
-                Some("any_free_bus") => InsertionPolicy::AnyFreeBus,
-                _ => return Err(bad("insertion: unknown policy")),
-            })
-            .ack_mode(match v.field("ack_mode")? {
-                Value::Str(s) if s == "per_flit" => AckMode::PerFlit,
-                Value::Str(s) if s == "unlimited" => AckMode::Unlimited,
-                obj @ Value::Obj(_) => AckMode::Windowed {
-                    window: obj
-                        .field("windowed")?
-                        .as_u32()
-                        .ok_or_else(|| bad("windowed: expected u32"))?,
-                },
-                _ => return Err(bad("ack_mode: unknown mode")),
-            })
-            .max_concurrent_sends(
-                node.field("max_concurrent_sends")?
-                    .as_u32()
-                    .ok_or_else(|| bad("max_concurrent_sends: expected u32"))?,
-            )
-            .max_concurrent_receives(
-                node.field("max_concurrent_receives")?
-                    .as_u32()
-                    .ok_or_else(|| bad("max_concurrent_receives: expected u32"))?,
-            )
-            .retry_backoff(
-                node.field("retry_backoff")?
-                    .as_u64()
-                    .ok_or_else(|| bad("retry_backoff: expected u64"))?,
-            );
-        if let Some(t) = match v.field("head_timeout")? {
-            Value::Null => None,
-            other => Some(
-                other
-                    .as_u64()
-                    .ok_or_else(|| bad("head_timeout: expected u64"))?,
-            ),
-        } {
-            b = b.head_timeout(t);
-        }
-        b.build().map_err(|e| bad(&format!("invalid config: {e}")))
     }
 }
 
@@ -662,44 +462,7 @@ mod tests {
     #[test]
     fn message_spec_round_trip() {
         let m = MessageSpec::new(NodeId::new(7), NodeId::new(2), 33).at(900);
-        assert_eq!(MessageSpec::from_json(&m.to_json()).unwrap(), m);
-    }
-
-    #[test]
-    fn delivered_round_trip() {
-        let d = DeliveredMessage {
-            request: RequestId::new(u64::MAX),
-            spec: MessageSpec::new(NodeId::new(0), NodeId::new(1), 4),
-            requested_at: 10,
-            circuit_at: 25,
-            delivered_at: 40,
-            refusals: 2,
-        };
-        assert_eq!(DeliveredMessage::from_json(&d.to_json()).unwrap(), d);
-    }
-
-    #[test]
-    fn config_round_trip_all_modes() {
-        let plain = RmbConfig::new(16, 4).unwrap();
-        assert_eq!(RmbConfig::from_json(&plain.to_json()).unwrap(), plain);
-
-        let fancy = RmbConfig::builder(64, 8)
-            .compaction(false)
-            .early_compaction(true)
-            .insertion(InsertionPolicy::AnyFreeBus)
-            .head_timeout(77)
-            .ack_mode(AckMode::Windowed { window: 5 })
-            .retry_backoff(9)
-            .max_concurrent_sends(2)
-            .max_concurrent_receives(3)
-            .build()
-            .unwrap();
-        assert_eq!(RmbConfig::from_json(&fancy.to_json()).unwrap(), fancy);
-
-        let per_flit = RmbConfig::builder(8, 2)
-            .ack_mode(AckMode::PerFlit)
-            .build()
-            .unwrap();
-        assert_eq!(RmbConfig::from_json(&per_flit.to_json()).unwrap(), per_flit);
+        let v = Value::parse(&m.to_json()).unwrap();
+        assert_eq!(MessageSpec::from_value(&v).unwrap(), m);
     }
 }

@@ -6,7 +6,10 @@
 //! and an interconnection network controller (INC), with `k` parallel bus
 //! segments between every pair of adjacent INCs. This crate defines the
 //! identifier newtypes, message descriptors, configuration structures and
-//! error types that every other crate in the workspace builds on.
+//! error types that every other crate in the workspace builds on, the
+//! shared [`report`] schema, and [`json`]: a minimal JSON parser and
+//! emitter with the codec of [`MessageSpec`], the element of a recorded
+//! trace file.
 //!
 //! # Examples
 //!
@@ -17,7 +20,7 @@
 //! assert_eq!(cfg.nodes(), RingSize::new(16).unwrap());
 //! assert_eq!(cfg.top_bus(), BusIndex::new(3));
 //! let n = NodeId::new(15);
-//! assert_eq!(cfg.nodes().successor(n), NodeId::new(0));
+//! assert_eq!(cfg.nodes().advance(n, 1), NodeId::new(0));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -43,11 +43,6 @@ impl MessageSpec {
         self.inject_at = tick;
         self
     }
-
-    /// Total flit count including header and final flits.
-    pub const fn total_flits(&self) -> u32 {
-        self.data_flits + 2
-    }
 }
 
 impl fmt::Display for MessageSpec {
@@ -114,7 +109,6 @@ mod tests {
     fn spec_builders() {
         let m = MessageSpec::new(NodeId::new(1), NodeId::new(2), 8).at(5);
         assert_eq!(m.inject_at, 5);
-        assert_eq!(m.total_flits(), 10);
         assert_eq!(m.to_string(), "n1->n2 (8 DFs @t5)");
     }
 

@@ -206,11 +206,6 @@ impl BurstyStream {
     pub const fn rate(&self) -> f64 {
         self.p
     }
-
-    /// Mean messages per burst.
-    pub const fn burst_len(&self) -> u32 {
-        self.burst_len
-    }
 }
 
 impl ArrivalStream for BurstyStream {

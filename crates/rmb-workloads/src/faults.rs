@@ -23,7 +23,7 @@ pub struct FaultScenario {
 
 impl FaultScenario {
     /// Number of segments this scenario fails on an `n * k` ring.
-    pub fn segment_count(&self, n: u32, k: u16) -> usize {
+    fn segment_count(&self, n: u32, k: u16) -> usize {
         let total = n as usize * k as usize;
         let want = (self.fraction.clamp(0.0, 1.0) * total as f64).round() as usize;
         want.min(total)

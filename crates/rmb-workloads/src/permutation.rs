@@ -53,7 +53,7 @@ impl PermutationKind {
     ];
 
     /// `true` when the kind only works on power-of-two ring sizes.
-    pub const fn needs_power_of_two(self) -> bool {
+    const fn needs_power_of_two(self) -> bool {
         matches!(
             self,
             PermutationKind::BitReversal
@@ -96,8 +96,8 @@ impl Permutation {
     /// # Panics
     ///
     /// Panics if `n == 0`, or if the kind requires a power-of-two `n`
-    /// (see [`PermutationKind::needs_power_of_two`]) and `n` is not one,
-    /// or if `Transpose` is asked for an odd number of address bits.
+    /// (every bit-address family does) and `n` is not one, or if
+    /// `Transpose` is asked for an odd number of address bits.
     pub fn generate(kind: PermutationKind, n: u32, rng: &mut SimRng) -> Self {
         assert!(n > 0, "permutation over an empty ring");
         if kind.needs_power_of_two() {
@@ -147,11 +147,6 @@ impl Permutation {
         };
         assert!(p.is_permutation(), "map is not a permutation");
         p
-    }
-
-    /// The family this permutation was drawn from.
-    pub const fn kind(&self) -> PermutationKind {
-        self.kind
     }
 
     /// Number of elements.
@@ -207,32 +202,6 @@ impl Permutation {
             .filter(|(i, &d)| *i as u32 != d)
             .map(|(s, &d)| MessageSpec::new(NodeId::new(s as u32), NodeId::new(d), flits))
             .collect()
-    }
-
-    /// Total clockwise link load this permutation places on a one-way ring
-    /// of its size: the sum of clockwise distances.
-    pub fn total_ring_distance(&self) -> u64 {
-        let n = self.map.len() as u64;
-        self.map
-            .iter()
-            .enumerate()
-            .map(|(s, &d)| (u64::from(d) + n - s as u64) % n)
-            .sum()
-    }
-
-    /// The maximum number of messages crossing any single clockwise ring
-    /// hop — the congestion lower bound for ring routing.
-    pub fn max_ring_congestion(&self) -> u32 {
-        let n = self.map.len();
-        let mut load = vec![0u32; n];
-        for (s, &d) in self.map.iter().enumerate() {
-            let mut at = s;
-            while at as u32 != d {
-                load[at] += 1;
-                at = (at + 1) % n;
-            }
-        }
-        load.into_iter().max().unwrap_or(0)
     }
 }
 
@@ -321,18 +290,6 @@ mod tests {
         assert_eq!(msgs.len(), 2);
         assert!(msgs.iter().all(|m| m.data_flits == 9));
         assert!(msgs.iter().all(|m| m.source != m.destination));
-    }
-
-    #[test]
-    fn ring_metrics() {
-        // 0->2, 1->0, 2->1 on N=3: distances 2, 2, 2; total 6.
-        let p = Permutation::from_map(vec![2, 0, 1]);
-        assert_eq!(p.total_ring_distance(), 6);
-        assert_eq!(p.max_ring_congestion(), 2);
-        // Identity: zero load.
-        let id = Permutation::from_map(vec![0, 1, 2]);
-        assert_eq!(id.total_ring_distance(), 0);
-        assert_eq!(id.max_ring_congestion(), 0);
     }
 
     #[test]

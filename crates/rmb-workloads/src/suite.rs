@@ -71,13 +71,6 @@ impl WorkloadSuite {
             .collect()
     }
 
-    /// The permutation object itself (for lower-bound computations).
-    pub fn permutation_map(&self, kind: PermutationKind) -> Permutation {
-        let mut rng = SimRng::seed(self.config.seed);
-        let mut perm_rng = rng.fork("permutation");
-        Permutation::generate(kind, self.config.nodes, &mut perm_rng)
-    }
-
     /// An open-loop Bernoulli stream at per-node rate `rate` for `ticks`.
     pub fn bernoulli(&self, rate: f64, ticks: u64) -> Vec<MessageSpec> {
         let mut rng = SimRng::seed(self.config.seed);
@@ -139,17 +132,6 @@ mod tests {
         let b = suite.permutation(PermutationKind::Random);
         assert_eq!(a, b);
         assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn permutation_map_matches_messages() {
-        let suite = WorkloadSuite::new(WorkloadConfig::new(8, 5));
-        let p = suite.permutation_map(PermutationKind::Random);
-        let msgs = suite.permutation(PermutationKind::Random);
-        assert_eq!(msgs.len() as u32, p.len() - p.fixed_points());
-        for m in &msgs {
-            assert_eq!(p.apply(m.source.index()), m.destination.index());
-        }
     }
 
     #[test]

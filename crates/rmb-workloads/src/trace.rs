@@ -9,7 +9,7 @@
 //! re-offers exactly those messages; a replay run that delivers everything
 //! proves the two runs moved an identical message set.
 
-use rmb_types::json::{FromJson, JsonError, ToJson, Value};
+use rmb_types::json::{JsonError, Value};
 use rmb_types::MessageSpec;
 
 /// Sorts specs into canonical trace order:

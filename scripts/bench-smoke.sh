@@ -13,6 +13,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The gates' bounds. They are constants, because a bound that a variable
+# could loosen would gate nothing.
+# A bench median may exceed its recorded baseline by 10 %.
+readonly GATE_FACTOR=1.10
+# A duty-cycle tick costs at most this many ns per active circuit.
+readonly NS_BUDGET=10
+# The hierarchy's serial throughput may fall to 1/1.5 of its recorded
+# baseline (a 33 % dip): wall-clock throughput is noisier than the benches.
+readonly HIER_GATE_FACTOR=1.5
+
 failed=()
 # step TITLE COMMAND...: runs COMMAND in a subshell that stops at its
 # first failing command, and records TITLE if it fails.
@@ -100,8 +110,7 @@ step "rmb_protocol + cycle_machine + tick_kernel (short window)" run_benches
 
 # The saturated N=64, k=4 tick is the reference hot-path number. Fail if
 # the just-measured median exceeds the recorded baseline by more than
-# BENCH_GATE_FACTOR (default 1.10 = +10%). Short sampling windows are
-# noisy, so the factor is overridable for slow machines.
+# GATE_FACTOR (+10 %).
 pr2_gate() {
   gate_bench="rmb_tick/loaded/N64_k4"
   baseline="$(awk -F'"after_median_ns": ' '
@@ -115,8 +124,7 @@ pr2_gate() {
     echo "regression gate: could not extract $gate_bench medians" >&2
     exit 1
   fi
-  factor="${BENCH_GATE_FACTOR:-1.10}"
-  awk -v m="$measured" -v b="$baseline" -v f="$factor" 'BEGIN {
+  awk -v m="$measured" -v b="$baseline" -v f="$GATE_FACTOR" 'BEGIN {
     limit = b * f
     printf "%s: measured %.1f ns, baseline %.1f ns, limit %.1f ns\n",
       "rmb_tick/loaded/N64_k4", m, b, limit
@@ -126,16 +134,15 @@ pr2_gate() {
 step "regression gate (rmb_tick/loaded/N64_k4 vs BENCH_PR2.json)" pr2_gate
 
 # The tentpole invariant of the bit-parallel kernel: a duty-cycle tick
-# costs at most RMB_NS_BUDGET (default 10) ns per active circuit, at any
+# costs at most NS_BUDGET (10) ns per active circuit, at any
 # ring size. The gate measures the active16 shapes, where the fixed
 # ~5 ns empty-tick cost is amortised enough that the number is the true
 # per-circuit marginal rather than harness overhead divided by four.
 # The budget check uses the median (it passes with >30% headroom, so a
 # noisy smoke window won't flake); the regression check compares against
-# the committed BENCH_PR7.json baseline with the same BENCH_GATE_FACTOR
+# the committed BENCH_PR7.json baseline with the same GATE_FACTOR
 # slack as the PR 2 gate. Each shape is a step of its own.
 per_circuit_gate() {
-  budget="${RMB_NS_BUDGET:-10}"
   gate_bench="$1"
   esc="${gate_bench//\//\\/}"
   measured="$(awk -F'"median_ns": ' '
@@ -149,19 +156,19 @@ per_circuit_gate() {
     echo "perf gate: could not extract $gate_bench numbers" >&2
     exit 1
   fi
-  awk -v m="$measured" -v bud="$budget" -v active=16 -v name="$gate_bench" 'BEGIN {
+  awk -v m="$measured" -v bud="$NS_BUDGET" -v active=16 -v name="$gate_bench" 'BEGIN {
     per = m / active
     printf "%s: %.2f ns per active circuit (budget %d ns)\n", name, per, bud
     exit (per > bud) ? 1 : 0
   }' || { echo "per-circuit budget gate FAILED for $gate_bench" >&2; exit 1; }
-  awk -v m="$measured" -v b="$baseline" -v f="${BENCH_GATE_FACTOR:-1.10}" -v name="$gate_bench" 'BEGIN {
+  awk -v m="$measured" -v b="$baseline" -v f="$GATE_FACTOR" -v name="$gate_bench" 'BEGIN {
     limit = b * f
     printf "%s: measured %.1f ns, baseline %.1f ns, limit %.1f ns\n", name, m, b, limit
     exit (m > limit) ? 1 : 0
   }' || { echo "regression gate FAILED for $gate_bench" >&2; exit 1; }
 }
 for gate_bench in "tick_kernel/per_circuit/N64_k8_active16" "tick_kernel/per_circuit/N1024_k8_active16"; do
-  step "per-active-circuit budget gate ($gate_bench vs 10 ns + BENCH_PR7.json)" \
+  step "per-active-circuit budget gate ($gate_bench vs $NS_BUDGET ns + BENCH_PR7.json)" \
     per_circuit_gate "$gate_bench"
 done
 
@@ -215,8 +222,8 @@ step "hierarchical scaling sweep (2 rings, tiny size)" hier_sweep
 # row recorded in BENCH_PR9.json (whose other rows are the deleted sharded
 # engine's). The cell draws the same traffic as that row, so its tick
 # count must match exactly. Wall-clock throughput is noisier than the
-# nanosecond benches above, so the slack factor is wider (default 1.5 =
-# tolerate a 33% dip) and overridable for slow machines.
+# nanosecond benches above, so the slack factor is wider
+# (HIER_GATE_FACTOR, 1.5: tolerate a 33 % dip).
 hier_throughput_gate() {
   tp_json="$(cargo run --release -q -p rmb-bench --bin experiments -- \
     --exp hier-throughput --json)"
@@ -241,7 +248,7 @@ hier_throughput_gate() {
       "$baseline_ticks; it no longer draws the recorded traffic" >&2
     exit 1
   fi
-  awk -v m="$measured" -v b="$baseline" -v f="${RMB_HIER_GATE_FACTOR:-1.5}" 'BEGIN {
+  awk -v m="$measured" -v b="$baseline" -v f="$HIER_GATE_FACTOR" 'BEGIN {
     floor = b / f
     printf "hier serial throughput: measured %.0f ticks/s, baseline %.0f ticks/s, floor %.0f ticks/s\n",
       m, b, floor

@@ -1,10 +1,10 @@
 //! Public-API hygiene tests: umbrella re-exports, thread-safety markers,
-//! JSON round-trips of configuration and results.
+//! the JSON round-trip of a message spec.
 
 use rmb::core::{BusState, RmbNetwork, RunReport, VirtualBus};
 use rmb::sim::{EventQueue, SimRng, Tick};
-use rmb::types::json::{FromJson, ToJson};
-use rmb::types::{AckMode, DeliveredMessage, MessageSpec, NodeId, RequestId, RmbConfig};
+use rmb::types::json::Value;
+use rmb::types::{DeliveredMessage, MessageSpec, NodeId, RmbConfig};
 
 #[test]
 fn umbrella_reexports_cover_all_crates() {
@@ -36,36 +36,10 @@ fn key_types_are_send_and_sync() {
 }
 
 #[test]
-fn config_json_roundtrip() {
-    let cfg = RmbConfig::builder(32, 8)
-        .compaction(true)
-        .early_compaction(false)
-        .head_timeout(100)
-        .ack_mode(AckMode::Windowed { window: 6 })
-        .retry_backoff(9)
-        .build()
-        .unwrap();
-    let json = cfg.to_json();
-    let back = RmbConfig::from_json(&json).unwrap();
-    assert_eq!(cfg, back);
-}
-
-#[test]
 fn message_and_result_json_roundtrip() {
     let spec = MessageSpec::new(NodeId::new(1), NodeId::new(5), 32).at(7);
-    let json = spec.to_json();
-    assert_eq!(MessageSpec::from_json(&json).unwrap(), spec);
-
-    let d = DeliveredMessage {
-        request: RequestId::new(3),
-        spec,
-        requested_at: 7,
-        circuit_at: 20,
-        delivered_at: 60,
-        refusals: 1,
-    };
-    let json = d.to_json();
-    assert_eq!(DeliveredMessage::from_json(&json).unwrap(), d);
+    let json = Value::parse(&spec.to_json()).unwrap();
+    assert_eq!(MessageSpec::from_value(&json).unwrap(), spec);
 }
 
 #[test]
