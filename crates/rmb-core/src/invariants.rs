@@ -162,17 +162,7 @@ pub fn check_network(net: &RmbNetwork) -> Result<(), InvariantViolation> {
     }
 
     // 4. Legal port codes at every INC.
-    for node in ring.nodes() {
-        let view = derive_inc(net, node);
-        for (l, status) in view.outputs.iter().enumerate() {
-            if !status.is_allowed() {
-                return fail(
-                    "port-codes",
-                    format!("INC {node} output {l} holds forbidden code {status}"),
-                );
-            }
-        }
-    }
+    check_port_codes(net)?;
 
     // 5. Fault isolation: live circuits never occupy faulted segments.
     // (Unowned faulted segments are legal, as are dying circuits whose
@@ -209,5 +199,24 @@ pub fn check_network(net: &RmbNetwork) -> Result<(), InvariantViolation> {
         return fail("plane-lockstep", detail);
     }
 
+    Ok(())
+}
+
+/// Invariant #4 on its own: every derived INC status register holds a
+/// code Table 1 allows. Once #1 and #2 hold, every output port is fed by
+/// one hop from within switching range, so in [`check_network`]'s order
+/// only a state that already breaks #1 could fail it.
+pub(crate) fn check_port_codes(net: &RmbNetwork) -> Result<(), InvariantViolation> {
+    for node in net.ring().nodes() {
+        let view = derive_inc(net, node);
+        for (l, status) in view.outputs.iter().enumerate() {
+            if !status.is_allowed() {
+                return fail(
+                    "port-codes",
+                    format!("INC {node} output {l} holds forbidden code {status}"),
+                );
+            }
+        }
+    }
     Ok(())
 }
