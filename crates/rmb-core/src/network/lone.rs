@@ -19,7 +19,8 @@
 //!
 //! - injection → delivery: the hops take their completion heights, the
 //!   delivery goes through the ordinary bookkeeping at its own tick, and
-//!   one utilisation sample is replayed per skipped tick;
+//!   the skipped ticks' busy segments join the utilisation sum, one
+//!   product per recorded run;
 //! - delivery → teardown: the hops are released.
 //!
 //! Both segments are needed because the delivery is observed mid-life: a
@@ -480,7 +481,7 @@ impl RmbNetwork {
             .buses
             .slot(lone.id)
             .expect("a deferred circuit is live");
-        self.replay_utilization(&life.busy[..life.split]);
+        self.busy_sum += busy_ticks(&life.busy[..life.split]);
         let ring = self.ring();
         let (src, dst, injected) = {
             let bus = self.buses.at(slot);
@@ -528,7 +529,7 @@ impl RmbNetwork {
     /// hop released and the circuit gone.
     fn jump_to_teardown(&mut self, lone: &Lone, life: &LoneLife) {
         let torn_down = lone.t0 + life.teardown;
-        self.replay_utilization(&life.busy[life.split..]);
+        self.busy_sum += busy_ticks(&life.busy[life.split..]);
         let ring = self.ring();
         let bus = self
             .buses
@@ -543,18 +544,12 @@ impl RmbNetwork {
         self.last_progress = torn_down;
         self.now = Tick::new(torn_down + 1);
     }
+}
 
-    /// Records the utilisation samples of skipped ticks, one per tick and
-    /// each the quotient `finish_tick` takes, so the running mean is the
-    /// ticked one bit for bit.
-    fn replay_utilization(&mut self, runs: &[(u32, u32)]) {
-        let total = self.segments.len() as f64;
-        for &(busy, ticks) in runs {
-            let sample = f64::from(busy) / total;
-            for _ in 0..ticks {
-                self.utilization.record(sample);
-            }
-            self.util_sample = (busy as usize, sample);
-        }
-    }
+/// Busy segments summed over the ticks of `(busy, ticks)` runs: what
+/// `finish_tick` adds to the utilisation sum over the same ticks.
+fn busy_ticks(runs: &[(u32, u32)]) -> u128 {
+    runs.iter()
+        .map(|&(busy, ticks)| u128::from(busy) * u128::from(ticks))
+        .sum()
 }

@@ -44,25 +44,6 @@ impl OnlineStats {
         self.max = Some(self.max.map_or(x, |m| m.max(x)));
     }
 
-    /// Records the same sample `repeats` times in one step (Chan et al.'s
-    /// batch merge), used by the simulator's idle-tick fast-forward to
-    /// account for skipped ticks without looping. Equivalent to calling
-    /// [`record`](Self::record) `repeats` times, up to floating-point
-    /// rounding in the running mean/variance.
-    pub fn record_repeated(&mut self, x: f64, repeats: u64) {
-        if repeats == 0 {
-            return;
-        }
-        let delta = x - self.mean;
-        let total = self.count + repeats;
-        self.mean += delta * repeats as f64 / total as f64;
-        // The batch of identical samples has zero internal variance.
-        self.m2 += delta * delta * self.count as f64 * repeats as f64 / total as f64;
-        self.count = total;
-        self.min = Some(self.min.map_or(x, |m| m.min(x)));
-        self.max = Some(self.max.map_or(x, |m| m.max(x)));
-    }
-
     /// Number of samples recorded.
     pub const fn count(&self) -> u64 {
         self.count
