@@ -52,11 +52,22 @@ impl BernoulliArrivals {
         rng: &mut SimRng,
         flits: &mut dyn FnMut(&mut SimRng) -> u32,
     ) -> Vec<MessageSpec> {
+        // Nodes are drawn in ascending order, so a stable merge by tick
+        // leaves ties in source order.
+        radix_merge(self.draw(n, ticks, rng, flits))
+    }
+
+    /// The per-node streams, node by node, each in tick order.
+    fn draw(
+        &self,
+        n: u32,
+        ticks: u64,
+        rng: &mut SimRng,
+        flits: &mut dyn FnMut(&mut SimRng) -> u32,
+    ) -> Vec<MessageSpec> {
         assert!(n >= 2, "need at least two nodes");
         // Geometric gap sampling: equivalent to per-tick Bernoulli but
-        // O(messages) instead of O(nodes * ticks). Nodes are drawn in
-        // ascending order, so a stable sort by tick merges the per-node
-        // streams with ties in source order.
+        // O(messages) instead of O(nodes * ticks).
         let mut msgs = Vec::new();
         for node in 0..n {
             let mut t = rng.geometric_gap(self.p).saturating_sub(1);
@@ -74,9 +85,37 @@ impl BernoulliArrivals {
                 t = t.saturating_add(rng.geometric_gap(self.p));
             }
         }
-        msgs.sort_by_key(|m| m.inject_at);
         msgs
     }
+}
+
+/// Stable sort by injection tick: an LSD radix sort on 8-bit digits, one
+/// counting pass per byte of the largest tick, which keeps equal ticks in
+/// their input order like a stable comparison sort, in O(messages) per
+/// pass.
+fn radix_merge(mut msgs: Vec<MessageSpec>) -> Vec<MessageSpec> {
+    let max = msgs.iter().map(|m| m.inject_at).max().unwrap_or(0);
+    let mut out = msgs.clone();
+    let mut shift = 0;
+    while shift < u64::BITS && max >> shift != 0 {
+        let digit = |m: &MessageSpec| (m.inject_at >> shift) as usize & 0xff;
+        let mut next = [0usize; 256];
+        for m in &msgs {
+            next[digit(m)] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut next {
+            (*slot, start) = (start, start + *slot);
+        }
+        for m in &msgs {
+            let slot = &mut next[digit(m)];
+            out[*slot] = *m;
+            *slot += 1;
+        }
+        std::mem::swap(&mut msgs, &mut out);
+        shift += 8;
+    }
+    msgs
 }
 
 /// A per-node stream of inter-arrival gaps, for open-loop serving drivers
@@ -280,6 +319,41 @@ mod tests {
             let share = h as f64 / total as f64;
             assert!((share - 0.25).abs() < 0.03, "share {share}");
         }
+    }
+
+    /// `generate`'s radix merge orders the draws exactly as a stable
+    /// comparison sort by tick does, over random node counts, rates and
+    /// windows whose largest tick needs one to five 8-bit digits.
+    #[test]
+    fn radix_merge_matches_a_stable_sort() {
+        let mut rng = SimRng::seed(26);
+        let mut digits_seen = [0u32; 6];
+        for case in 0..250u32 {
+            let n = 2 + rng.index(40).unwrap() as u32;
+            // A window past 2^(8d - 1) ticks, holding 1 to 64 messages in
+            // expectation.
+            let d = 1 + case % 5;
+            let half = 1u64 << (8 * d - 1);
+            let ticks = half + rng.next_u64() % half;
+            let expected = 1.0 + rng.index(64).unwrap() as f64;
+            let arr = BernoulliArrivals::new(expected / (f64::from(n) * ticks as f64));
+            let seed = rng.next_u64();
+            let flits = &mut |r: &mut SimRng| r.index(16).unwrap() as u32;
+            let got = arr.generate(n, ticks, &mut SimRng::seed(seed), flits);
+            let mut want = arr.draw(n, ticks, &mut SimRng::seed(seed), flits);
+            want.sort_by_key(|m| m.inject_at);
+            assert_eq!(got, want, "n {n}, ticks {ticks}, seed {seed}");
+            let max = got.iter().map(|m| m.inject_at).max().unwrap_or(0);
+            digits_seen[(u64::BITS - max.leading_zeros()).div_ceil(8) as usize] += 1;
+        }
+        assert!(
+            digits_seen[1..].iter().all(|&c| c > 0),
+            "cases per digit count: {digits_seen:?}"
+        );
+        // Empty and one-message batches.
+        assert_eq!(radix_merge(Vec::new()), Vec::new());
+        let one = vec![MessageSpec::new(NodeId::new(1), NodeId::new(0), 3).at(1 << 40)];
+        assert_eq!(radix_merge(one.clone()), one);
     }
 
     #[test]
