@@ -2,10 +2,11 @@
 //!
 //! [`parse_scenario`] reads files a user wrote, so every input must come
 //! back as `Ok` or as an `Err` that points at a line. The inputs here are
-//! arbitrary bytes and mutated copies of every `scenarios/*.toml`: byte
-//! deletions, inserted TOML tokens, numbers replaced by extreme values,
-//! and splices of one scenario into another. The generator is seeded, so
-//! every run feeds the same inputs, and a failure prints the input.
+//! arbitrary bytes and mutated copies of every `scenarios/*.toml` and of
+//! the in-file [`SEEDS`]: byte deletions, inserted TOML tokens, numbers
+//! replaced by extreme values, and splices of one scenario into another.
+//! The generator is seeded, so every run feeds the same inputs, and a
+//! failure prints the input.
 //!
 //! Only a missing required top-level key has no line to name: the error
 //! belongs to the file, not to a line of it.
@@ -94,6 +95,171 @@ const NUMBERS: &[&str] = &[
 /// The bytes most arbitrary inputs are drawn from.
 const PRINTABLE: &[u8] = b" =\"[]#.\n0123456789abcdefghijklmnopqrstuvwxyz-_";
 
+/// Valid scenarios that reach what no checked-in scenario does: an
+/// `[engine]` section, hier faults on a local and the global ring, the
+/// grid and torus topologies, the nearest-neighbour, bursty and exchange
+/// workloads, and every optional key of each.
+const SEEDS: &[&str] = &[
+    r#"name = "seed-flat-engine"
+seed = 5
+max-ticks = 50000
+
+[topology]
+kind = "flat"
+nodes = 12
+buses = 3
+head-timeout = 200
+retry-backoff = 12
+
+[engine]
+retention = "window"
+window = 64
+max-retries = 8
+checked = true
+
+[workload]
+kind = "nearest-neighbour"
+flits = 4
+rounds = 3
+stagger = 40
+
+[[fault]]
+kind = "inc-dead"
+node = 7
+at = 30
+repair-at = 90
+"#,
+    r#"name = "seed-hier-faults"
+seed = 9
+
+[topology]
+kind = "hier"
+rings = 3
+nodes-per-ring = 6
+buses = 2
+global-buses = 3
+bridge-queue-depth = 4
+head-timeout = 96
+retry-backoff = 6
+
+[engine]
+max-retries = 16
+checked = true
+
+[workload]
+kind = "locality"
+messages = 48
+spread = 64
+flits = 4
+locality = 0.5
+
+[[fault]]
+kind = "segment-stuck"
+hop = 2
+bus = 1
+at = 10
+ring = 1
+
+[[fault]]
+kind = "link-cut"
+hop = 1
+at = 20
+repair-at = 80
+ring = "global"
+"#,
+    r#"name = "seed-flat-bursty"
+seed = 11
+
+[topology]
+kind = "flat"
+nodes = 16
+buses = 4
+
+[engine]
+retention = "counters-only"
+
+[workload]
+kind = "bursty"
+rate = 0.01
+burst = 4
+flits = 4
+hotspot-node = 5
+hotspot-fraction = 0.25
+
+[serve]
+warmup = 200
+duration = 2000
+admission = "aggregate"
+depth = 2
+"#,
+    r#"name = "seed-hier-exchange"
+seed = 17
+
+[topology]
+kind = "hier"
+rings = 2
+nodes-per-ring = 5
+buses = 2
+
+[workload]
+kind = "exchange"
+period = 50
+flits = 2
+
+[serve]
+duration = 1000
+admission = "per-source"
+depth = 3
+"#,
+    r#"name = "seed-grid"
+seed = 21
+
+[topology]
+kind = "grid"
+rows = 3
+cols = 4
+buses = 2
+
+[workload]
+kind = "all-to-all"
+flits = 2
+stagger = 16
+"#,
+    r#"name = "seed-torus-batch"
+seed = 23
+
+[topology]
+kind = "torus"
+radix = 3
+dims = 5
+
+[workload]
+kind = "uniform"
+messages = 32
+spread = 16
+flits = 2
+"#,
+    r#"name = "seed-torus-serve"
+seed = 29
+
+[topology]
+kind = "torus"
+radix = 3
+dims = 3
+
+[workload]
+kind = "poisson"
+rate = 0.02
+flits = 2
+hotspot-node = 4
+hotspot-fraction = 0.1
+
+[serve]
+warmup = 100
+duration = 500
+"#,
+];
+
 fn scenarios() -> Vec<(String, String)> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
     let mut files: Vec<(String, String)> = fs::read_dir(&dir)
@@ -173,21 +339,38 @@ fn check(bytes: &[u8]) {
     }
 }
 
-#[test]
-fn mutated_scenarios_never_panic() {
-    let files = scenarios();
+/// Checks that each of `files` parses, then parses mutated copies of it,
+/// splicing from the others.
+fn mutate_each(files: &[(String, String)]) {
     let mut rng = TestRng::new(0x5ce9_a710);
-    for (path, text) in &files {
-        assert!(parse_scenario(text).is_ok(), "{path} must parse unmutated");
+    for (path, text) in files {
+        if let Err(e) = parse_scenario(text) {
+            panic!("{path} must parse unmutated: {e}");
+        }
         for _ in 0..MUTANTS_PER_SCENARIO {
             let mut bytes = text.as_bytes().to_vec();
-            let donor = pick(&mut rng, &files).1.as_bytes();
+            let donor = pick(&mut rng, files).1.as_bytes();
             for _ in 0..1 + rng.below(4) {
                 mutate(&mut rng, &mut bytes, donor);
             }
             check(&bytes);
         }
     }
+}
+
+#[test]
+fn mutated_scenarios_never_panic() {
+    mutate_each(&scenarios());
+}
+
+#[test]
+fn mutated_seed_scenarios_never_panic() {
+    let seeds: Vec<(String, String)> = SEEDS
+        .iter()
+        .enumerate()
+        .map(|(i, text)| (format!("SEEDS[{i}]"), text.to_string()))
+        .collect();
+    mutate_each(&seeds);
 }
 
 #[test]
