@@ -28,7 +28,7 @@
 //! * [`schema`] — the typed [`Scenario`] model plus [`parse_scenario`]:
 //!   every key is validated against the engines' real invariants, and a
 //!   bad file fails with the key *and line* that broke it, not a panic
-//!   three crates down. [`Scenario::to_toml`] round-trips.
+//!   three crates down.
 //! * [`run`] — [`run_scenario`] executes a scenario on the engine its
 //!   topology names (flat ring, bridged hierarchy, grid, lattice, or the
 //!   wormhole-torus baseline; batch or open-loop serving) and returns a

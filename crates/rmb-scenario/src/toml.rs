@@ -105,8 +105,8 @@ pub struct Spanned {
     pub line: usize,
 }
 
-/// An ordered table: entries keep document order so error messages and
-/// round-trips are stable.
+/// An ordered table: entries keep document order so error messages are
+/// stable.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TomlTable {
     /// `(key, value)` pairs in document order.
@@ -501,22 +501,6 @@ fn parse_number(text: &str, line: usize) -> Result<TomlValue, ScenarioError> {
     ))
 }
 
-/// Escapes a string for emission inside a basic TOML string.
-pub fn escape_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,6 +597,5 @@ at = 2
             doc.get("s").unwrap().value,
             TomlValue::Str("a\"b\\c\nd".into())
         );
-        assert_eq!(escape_str("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

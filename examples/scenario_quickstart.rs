@@ -31,8 +31,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n{}", out.table);
     println!("canonical row:\n{}", out.row_json);
-
-    // The scenario model round-trips: print it back as TOML.
-    println!("\nre-emitted scenario:\n{}", scenario.to_toml());
     Ok(())
 }
