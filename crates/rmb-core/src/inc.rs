@@ -2,8 +2,9 @@
 //!
 //! The simulator keeps virtual buses as ground truth; this module projects
 //! one INC's output-port status registers (Table 1) and PE attachment out
-//! of them — the view a hardware INC would actually hold. The invariant
-//! checker uses it to confirm every derived code is one Table 1 allows.
+//! of them — the view a hardware INC would actually hold. The renderers
+//! print it; the invariant checker sets the same codes for every INC in
+//! its one walk over the buses rather than projecting each INC in turn.
 
 use crate::network::RmbNetwork;
 use crate::status::{PortStatus, SourceDir};
@@ -47,7 +48,7 @@ pub fn derive_inc(net: &RmbNetwork, node: NodeId) -> IncView {
         pe_drives: Vec::new(),
         pe_reads: Vec::new(),
     };
-    for (bus, state) in net.buses_raw().values_with_state() {
+    for (_, bus, state) in net.buses_raw().values_with_state() {
         let active = bus.active_hops(state);
         if active == 0 {
             continue;

@@ -53,7 +53,7 @@
 mod compaction;
 mod cycle;
 mod inc;
-pub mod invariants;
+mod invariants;
 #[cfg(feature = "oracle")]
 pub mod microsim;
 mod network;

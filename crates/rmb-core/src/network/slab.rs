@@ -181,13 +181,14 @@ impl BusSlab {
         })
     }
 
-    /// `(bus, state)` pairs in ascending id order — for consumers that
-    /// need both the cold struct and the state lane (invariants, INC
+    /// `(slot, bus, state)` triples in ascending id order — for consumers
+    /// that need both the cold struct and the state lane (invariants, INC
     /// projection, renderers).
-    pub(crate) fn values_with_state(&self) -> impl Iterator<Item = (&VirtualBus, BusState)> {
+    pub(crate) fn values_with_state(&self) -> impl Iterator<Item = (usize, &VirtualBus, BusState)> {
         self.active.iter().map(move |&(_, slot)| {
             let slot = slot as usize;
             (
+                slot,
                 self.slots[slot].as_ref().expect("active slots are live"),
                 self.states[slot],
             )

@@ -19,7 +19,7 @@
 //! [`Occupancy::blocked`] stays on one cache line for rings up to 64
 //! hops. The bitmaps are updated in lockstep at every owner-table
 //! transition (occupy / release / fault / repair); invariant #6
-//! ([`Occupancy::verify`]) rebuilds them from scratch in checked runs and
+//! ([`Occupancy::verify`]) rebuilds them word by word in checked runs and
 //! demands equality.
 
 use rmb_sim::arc_word;
@@ -125,15 +125,9 @@ impl Occupancy {
         })
     }
 
-    /// The bit at `hop` of the lane starting at word `off`.
-    #[inline]
-    fn get(&self, off: usize, hop: usize) -> bool {
-        let (w, m) = self.bit(off, hop);
-        self.words[w] & m != 0
-    }
-
-    /// Rebuilds the expected bitmaps from the authoritative tables and
-    /// reports the first divergence (invariant #6: bitmap lockstep).
+    /// Rebuilds the expected bitmaps from the authoritative tables, one
+    /// lane word at a time, and reports the first divergence (invariant
+    /// #6: bitmap lockstep).
     ///
     /// # Errors
     ///
@@ -143,24 +137,33 @@ impl Occupancy {
         segments: &[Option<VirtualBusId>],
         fault_count: &[u8],
     ) -> Result<(), String> {
-        let k = self.k;
-        for hop in 0..self.n {
-            for bus in 0..k {
-                let i = hop * k + bus;
-                if self.get(2 * bus * self.wpr, hop) != segments[i].is_some() {
+        let (k, wpr) = (self.k, self.wpr);
+        for bus in 0..k {
+            for w in 0..wpr {
+                let (mut occupied, mut faulted) = (0u64, 0u64);
+                for hop in 64 * w..self.n.min(64 * w + 64) {
+                    let i = hop * k + bus;
+                    occupied |= u64::from(segments[i].is_some()) << (hop % 64);
+                    faulted |= u64::from(fault_count[i] > 0) << (hop % 64);
+                }
+                let stale = self.words[2 * bus * wpr + w] ^ occupied;
+                if stale != 0 {
+                    let hop = 64 * w + stale.trailing_zeros() as usize;
                     return Err(format!(
                         "occupied bit out of lockstep at (hop {hop}, bus {bus}): \
                          bitmap says {}, owner table says {:?}",
-                        self.get(2 * bus * self.wpr, hop),
-                        segments[i]
+                        occupied >> (hop % 64) & 1 == 0,
+                        segments.get(hop * k + bus).copied().flatten()
                     ));
                 }
-                if self.get((2 * bus + 1) * self.wpr, hop) != (fault_count[i] > 0) {
+                let stale = self.words[(2 * bus + 1) * wpr + w] ^ faulted;
+                if stale != 0 {
+                    let hop = 64 * w + stale.trailing_zeros() as usize;
                     return Err(format!(
                         "faulted bit out of lockstep at (hop {hop}, bus {bus}): \
                          bitmap says {}, fault count is {}",
-                        self.get((2 * bus + 1) * self.wpr, hop),
-                        fault_count[i]
+                        faulted >> (hop % 64) & 1 == 0,
+                        fault_count.get(hop * k + bus).copied().unwrap_or(0)
                     ));
                 }
             }

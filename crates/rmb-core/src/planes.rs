@@ -15,7 +15,7 @@
 //! (adjacent hops differ by at most one level) the occupied levels form
 //! that whole range, so the kernel visits only those levels and its cost
 //! does not grow with `k`. Invariant #7 ([`HeightPlanes::verify`])
-//! rebuilds both from `heights` in checked runs and demands equality.
+//! checks both against `heights`, read once, in checked runs.
 
 use rmb_types::BusIndex;
 
@@ -116,36 +116,39 @@ impl HeightPlanes {
         self.words[self.base(slot, level) + w]
     }
 
-    /// Rebuilds the planes and level range of `slot` from the bus's
-    /// `heights` and reports the first divergence (invariant #7: planes
-    /// match heights bit for bit).
+    /// Checks the planes and level range of `slot` against the bus's
+    /// `heights` in one read of them (invariant #7: planes match heights
+    /// bit for bit). Every hop's bit must be set, and the slot's planes
+    /// must hold no other bit: as many set bits as hops.
     ///
     /// # Errors
     ///
     /// Returns a description of the first out-of-lockstep bit or bound.
     pub(crate) fn verify(&self, slot: usize, heights: &[BusIndex]) -> Result<(), String> {
-        for level in 0..self.k {
-            for w in 0..self.wpr {
-                let mut expected = 0u64;
-                for (j, h) in heights.iter().enumerate().skip(64 * w).take(64) {
-                    if h.as_usize() == level {
-                        expected |= 1u64 << (j % 64);
-                    }
-                }
-                let got = self.word(slot, level, w);
-                if got != expected {
-                    return Err(format!(
-                        "plane {level} word {w} of slot {slot} is {got:#x}, heights say {expected:#x}"
-                    ));
-                }
+        let planes = &self.words[self.base(slot, 0)..self.base(slot, self.k)];
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for (j, h) in heights.iter().enumerate() {
+            let (level, w) = (h.as_usize(), j / 64);
+            let got = planes.get(level * self.wpr + w).copied().unwrap_or(0);
+            if got & (1u64 << (j % 64)) == 0 {
+                return Err(format!(
+                    "plane {level} word {w} of slot {slot} is {got:#x}, missing hop {j}"
+                ));
             }
+            lo = lo.min(level);
+            hi = hi.max(level);
         }
-        let lo = heights.iter().min().map(|h| h.as_usize());
-        let hi = heights.iter().max().map(|h| h.as_usize());
-        let range = self.levels(slot);
-        if (lo, hi) != (Some(range.0), Some(range.1)) {
+        let set: usize = planes.iter().map(|w| w.count_ones() as usize).sum();
+        if set != heights.len() {
             return Err(format!(
-                "slot {slot} records levels {range:?}, heights span {lo:?}..={hi:?}"
+                "slot {slot} sets {set} plane bits for {} hops",
+                heights.len()
+            ));
+        }
+        let range = self.levels(slot);
+        if (lo, hi) != range {
+            return Err(format!(
+                "slot {slot} records levels {range:?}, heights span {lo}..={hi}"
             ));
         }
         Ok(())

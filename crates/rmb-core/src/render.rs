@@ -25,11 +25,12 @@ use std::fmt::Write as _;
 pub fn render_occupancy(net: &RmbNetwork) -> String {
     let n = net.ring().as_usize();
     let k = net.config().buses() as usize;
+    let (owners, _) = net.segment_tables();
     let mut out = String::new();
     for l in (0..k).rev() {
         let _ = write!(out, "b{l} |");
         for hop in 0..n {
-            let cell = match net.segment_slot(hop, l) {
+            let cell = match owners[hop * k + l] {
                 Some(id) => bus_letter(id),
                 None => '.',
             };
@@ -54,7 +55,7 @@ pub fn bus_letter(id: VirtualBusId) -> char {
 /// height profile (the Fig. 2 "virtual bus" view).
 pub fn render_virtual_buses(net: &RmbNetwork) -> String {
     let mut out = String::new();
-    for (bus, state) in net.buses_raw().values_with_state() {
+    for (_, bus, state) in net.buses_raw().values_with_state() {
         let profile: Vec<String> = bus
             .heights
             .iter()
