@@ -8,6 +8,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rmb_core::microsim::FlitLevelRmb;
 use rmb_core::RmbNetwork;
+use rmb_sim::SimRng;
 use rmb_types::{MessageSpec, NodeId, RmbConfig};
 
 /// (request id, circuit tick, delivery tick) per delivered message.
@@ -97,6 +98,31 @@ fn refusal_and_retry_agree() {
     ];
     let (a, b) = run_both(8, 2, &msgs);
     assert_eq!(a, b);
+}
+
+/// Past the knee: a 16-node, k=4 ring offered uniform 8-flit messages at
+/// 0.012 msgs/node/tick for 2,000 ticks, drawn per tick and node, at three
+/// seeds. Without a head timeout the partial circuits can wait on one
+/// another in a circle, so the engines must also agree on where the run
+/// stalls.
+#[test]
+fn saturated_uniform_load_agrees() {
+    let n = 16;
+    for seed in [1996, 1, 2] {
+        let mut rng = SimRng::seed(seed);
+        let mut msgs = Vec::new();
+        for at in 0..2_000 {
+            for src in 0..n {
+                if rng.chance(0.012) {
+                    let r = rng.index(n as usize - 1).unwrap() as u32;
+                    let dst = if r >= src { r + 1 } else { r };
+                    msgs.push(MessageSpec::new(NodeId::new(src), NodeId::new(dst), 8).at(at));
+                }
+            }
+        }
+        let (a, b) = run_both(n, 4, &msgs);
+        assert_eq!(a, b, "seed {seed}");
+    }
 }
 
 /// Ring sizes beyond the small ones: one word short of, exactly at and

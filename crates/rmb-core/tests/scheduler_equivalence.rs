@@ -326,6 +326,98 @@ fn engines_agree_when_submitting_between_ticks() {
     }
 }
 
+/// Uniform `flits`-flit messages on an `n`-node ring: each tick below
+/// `ticks`, each node starts one with probability `rate`.
+fn bernoulli(n: u32, rate: f64, ticks: u64, flits: u32, seed: u64) -> Vec<MessageSpec> {
+    let mut rng = SimRng::seed(seed);
+    let mut msgs = Vec::new();
+    for at in 0..ticks {
+        for src in 0..n {
+            if rng.chance(rate) {
+                let r = rng.index(n as usize - 1).unwrap() as u32;
+                let dst = if r >= src { r + 1 } else { r };
+                msgs.push(MessageSpec::new(NodeId::new(src), NodeId::new(dst), flits).at(at));
+            }
+        }
+    }
+    msgs
+}
+
+/// A 16-node, k=4 ring (head timeout 256, retry backoff 16) offered
+/// 0.012 msgs/node/tick for 2,000 ticks: past the knee, where the ring
+/// drains for thousands of ticks more, every one of them checked.
+fn saturating_ring() -> (RmbConfig, Vec<MessageSpec>) {
+    let cfg = RmbConfig::builder(16, 4)
+        .head_timeout(256)
+        .retry_backoff(16)
+        .build()
+        .unwrap();
+    (cfg, bernoulli(16, 0.012, 2_000, 8, 1996))
+}
+
+#[test]
+fn engines_agree_past_the_knee() {
+    let (cfg, msgs) = saturating_ring();
+    assert_equivalent(
+        cfg,
+        CompactionMode::Synchronous,
+        &FaultPlan::new(),
+        0,
+        &|net| {
+            net.submit_all(msgs.clone()).unwrap();
+        },
+    )
+    .unwrap();
+}
+
+/// The same saturated ring under twelve random segment, link and INC
+/// faults, some of them permanent, over the loaded stretch.
+#[test]
+fn engines_agree_past_the_knee_under_faults() {
+    let (cfg, msgs) = saturating_ring();
+    let mut rng = SimRng::seed(28);
+    let raw: Vec<RawFault> = (0..12)
+        .map(|_| {
+            let (kind, node, bus) = (rng.next_u32() as u8, rng.next_u32(), rng.next_u32() as u16);
+            (kind, rng.next_u64(), node, bus, rng.next_u64())
+        })
+        .collect();
+    let plan = build_plan(16, 4, &raw);
+    assert_equivalent(cfg, CompactionMode::Synchronous, &plan, 28, &|net| {
+        net.submit_all(msgs.clone()).unwrap();
+    })
+    .unwrap();
+}
+
+/// DL's symmetric case: every node of an 8-node, k=8 ring sends to the
+/// opposite node at tick 0. The partial circuits wait on one another in
+/// a circle until head timeouts refuse them.
+#[test]
+fn engines_agree_on_simultaneous_all_to_opposite() {
+    let cfg = RmbConfig::builder(8, 8)
+        .head_timeout(64)
+        .retry_backoff(16)
+        .build()
+        .unwrap();
+    assert_equivalent(
+        cfg,
+        CompactionMode::Synchronous,
+        &FaultPlan::new(),
+        0,
+        &|net| {
+            for s in 0..8 {
+                net.submit(MessageSpec::new(
+                    NodeId::new(s),
+                    NodeId::new((s + 4) % 8),
+                    4,
+                ))
+                .unwrap();
+            }
+        },
+    )
+    .unwrap();
+}
+
 #[test]
 fn engines_agree_without_compaction_and_without_fast_forward() {
     // `compaction(false)` disables the dirty set entirely; fast-forward
