@@ -13,7 +13,9 @@
 # line names its revision; the change's names HEAD, which does not show
 # uncommitted edits.
 #
-# For every end-to-end metric in BENCHMARK.json the report gives both
+# For every end-to-end metric in BENCHMARK.json, and for perfbench's
+# `raw_wall_s.median` (the pass time before the host probe's scaling,
+# listed next to `wall_s`), the report gives both
 # sides' medians with quartiles, the change/parent ratio of the medians,
 # the pairs the change won by the metric's `better`, and whether the
 # medians differ by more than the parent's interquartile range in the
@@ -52,7 +54,9 @@ base="$1"
 shift
 workloads=("$@")
 
-# `name:better` for each end-to-end metric, in BENCHMARK.json's order.
+# `name:better` for each end-to-end metric, in BENCHMARK.json's order,
+# with the unscaled pass time after `wall_s`: the probe that scales
+# `wall_s` can move with code placement alone.
 metrics="$(awk '
   /"end_to_end"/ { on = 1; next }
   on && /\]/ { on = 0 }
@@ -60,6 +64,7 @@ metrics="$(awk '
     name = $0; sub(/.*"name": *"/, "", name); sub(/".*/, "", name)
     better = $0; sub(/.*"better": *"/, "", better); sub(/".*/, "", better)
     printf "%s%s:%s", sep, name, better; sep = ","
+    if (name == "wall_s") printf ",raw_wall_s.median:lower"
   }' BENCHMARK.json)"
 
 work="$root/target/perf-ab"
