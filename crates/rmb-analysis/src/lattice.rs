@@ -75,7 +75,6 @@ impl RmbLattice {
                     .compaction(ring_cfg.compaction)
                     .early_compaction(ring_cfg.early_compaction)
                     .insertion(ring_cfg.insertion)
-                    .ack_mode(ring_cfg.ack_mode)
                     .retry_backoff(ring_cfg.node.retry_backoff)
                     .max_concurrent_sends(ring_cfg.node.max_concurrent_sends.max(2))
                     .max_concurrent_receives(ring_cfg.node.max_concurrent_receives.max(2));

@@ -8,8 +8,6 @@
 //!
 //! * [`Hypercube`] — binary n-cube with deterministic e-cube
 //!   (dimension-ordered) routing.
-//! * [`Ehc`] — the Enhanced Hypercube (one dimension's links duplicated,
-//!   degree `log N + 1`).
 //! * [`Mesh2D`] — square 2-D mesh with XY routing.
 //! * [`KAryNCube`] — the torus (§4's "k-ary n cube"), dimension-ordered
 //!   minimal routing with two dateline virtual channels per wire.
@@ -17,7 +15,7 @@
 //!   (the paper's Fig. 11 structure), randomized up-link selection in the
 //!   style of Greenberg–Leiserson.
 //!
-//! All three run on a shared flit-level [`wormhole`] engine: the header
+//! All four run on a shared flit-level [`wormhole`] engine: the header
 //! flit acquires channels one hop per tick, body flits pipeline behind
 //! through single-flit channel buffers, and the tail releases channels as
 //! it passes. The engine is deliberately *not* the RMB protocol — it is
@@ -39,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod ehc;
 mod fattree;
 mod graph;
 mod hypercube;
@@ -48,7 +45,6 @@ mod torus;
 mod traits;
 pub mod wormhole;
 
-pub use ehc::Ehc;
 pub use fattree::FatTree;
 pub use graph::{Channel, Graph, Vertex};
 pub use hypercube::Hypercube;

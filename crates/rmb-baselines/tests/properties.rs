@@ -4,7 +4,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rmb_baselines::{Ehc, FatTree, Hypercube, KAryNCube, Mesh2D, Network};
+use rmb_baselines::{FatTree, Hypercube, KAryNCube, Mesh2D, Network};
 use rmb_types::{MessageSpec, NodeId};
 
 type RawMsg = (u32, u32, u32, u64);
@@ -44,17 +44,6 @@ proptest! {
         let msgs = build_msgs(n, &raw);
         check_conservation(&mut Hypercube::new(n), &msgs)?;
         check_conservation(&mut Hypercube::new_with_layout_wires(n), &msgs)?;
-    }
-
-    #[test]
-    fn ehc_conserves_messages(
-        pow in 2u32..6,
-        dup in 0u32..2,
-        raw in vec(any::<RawMsg>(), 1..24),
-    ) {
-        let n = 1 << pow;
-        let msgs = build_msgs(n, &raw);
-        check_conservation(&mut Ehc::new(n, dup % pow), &msgs)?;
     }
 
     #[test]

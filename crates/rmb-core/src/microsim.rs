@@ -15,7 +15,7 @@
 //! implementation fails the cross-check.
 //!
 //! Scope: the paper's base protocol — top-bus insertion, synchronous
-//! odd/even compaction, unlimited Dack window, unicast, no head timeout.
+//! odd/even compaction, unicast, no head timeout.
 
 use crate::compaction::{assessed_in_phase, EndpointHeight, HopContext, Phase};
 use crate::status::{PortStatus, SourceDir};
@@ -105,19 +105,14 @@ impl FlitLevelRmb {
     /// # Panics
     ///
     /// Panics if the configuration uses features outside this engine's
-    /// scope (see module docs): non-default insertion, ack mode, head
-    /// timeout, multi-send/receive, or disabled compaction is allowed but
+    /// scope (see module docs): non-default insertion, head timeout,
+    /// multi-send/receive, or disabled compaction is allowed but
     /// early-compaction off is not.
     pub fn new(cfg: RmbConfig) -> Self {
         assert_eq!(
             cfg.insertion,
             rmb_types::InsertionPolicy::TopBusOnly,
             "microsim scope: top-bus insertion only"
-        );
-        assert_eq!(
-            cfg.ack_mode,
-            rmb_types::AckMode::Unlimited,
-            "microsim scope: unlimited ack window only"
         );
         assert!(
             cfg.head_timeout.is_none(),

@@ -1,29 +1,24 @@
-//! The stream and teardown phase: the Hack's return, data flits and
-//! their acknowledgements, delivery, and the tail-first Fack/Nack
-//! teardown (§2.2). It is the only phase that removes buses.
+//! The stream and teardown phase: the Hack's return, data flits,
+//! delivery, and the tail-first Fack/Nack teardown (§2.2). It is the
+//! only phase that removes buses.
 
 use super::{PendingRequest, RmbNetwork};
 use crate::virtual_bus::{BusState, StreamState, VirtualBus};
 use rmb_sim::trace::TraceKind;
-use rmb_types::{AbortedMessage, AckMode, DeliveredMessage, MessageSpec};
+use rmb_types::{AbortedMessage, DeliveredMessage, MessageSpec};
 
 impl RmbNetwork {
     pub(super) fn progress_streams_and_teardowns(&mut self) {
         let ring = self.ring();
         let now = self.now.get();
         let event = self.event_driven();
-        let window = match self.cfg.ack_mode {
-            AckMode::PerFlit => 1,
-            AckMode::Windowed { window } => window.max(1),
-            AckMode::Unlimited => u32::MAX,
-        };
         // This is the only phase that removes buses: detach the slab so
         // its state lane can be advanced while the rest of the network is
         // borrowed freely, compacting the active list behind the cursor.
         //
         // The steady-state streaming arm is the tick kernel's inner loop:
         // it reads the `Copy` state out of the slab's state lane, advances
-        // three counters against closed-form send ticks (no queues, no
+        // two counters against closed-form send ticks (no queues, no
         // allocation), and writes the state back — the cold `VirtualBus`
         // struct is dereferenced only on transitions (stream start,
         // completion, teardown, removal).
@@ -43,36 +38,18 @@ impl RmbNetwork {
                 kept += 1;
                 continue;
             }
-            // Steady-state fast path: a mid-flight stream under a window
-            // at least the round trip (W >= 2L, the default) can only
-            // advance its three counters — no transition is reachable —
+            // Steady-state fast path: a mid-flight stream can only land
+            // flits and send the next one — no transition is reachable —
             // so it is updated in place, skipping the copy-out/copy-back
-            // protocol and the transition checks below. The closed forms
-            // land exactly where the catch-up loops in the general arm
-            // stop (see `StreamState::send_tick`).
-            let fast = {
-                if let BusState::Streaming(s) = buses.state_at_mut(slot) {
-                    let span = u64::from(s.span);
-                    if s.ff_sent_at.is_none()
-                        && s.next_seq < s.data_flits
-                        && 2 * span <= u64::from(s.window)
-                        && s.unacked() < s.window
-                    {
-                        let nd =
-                            u64::from(s.delivered).max(now.saturating_sub(s.circuit_at + span));
-                        s.delivered = u64::from(s.next_seq).min(nd) as u32;
-                        let na =
-                            u64::from(s.acked).max(now.saturating_sub(s.circuit_at + 2 * span));
-                        s.acked = u64::from(s.next_seq).min(na) as u32;
-                        debug_assert_eq!(now, s.send_tick(s.next_seq), "send recurrence");
-                        s.next_seq += 1;
-                        true
-                    } else {
-                        false
-                    }
-                } else {
-                    false
+            // protocol and the transition checks below.
+            let fast = match buses.state_at_mut(slot) {
+                BusState::Streaming(s) if s.ff_sent_at.is_none() && s.next_seq < s.data_flits => {
+                    s.catch_up(now);
+                    debug_assert_eq!(now, s.send_tick(s.next_seq), "one send per tick");
+                    s.next_seq += 1;
+                    true
                 }
+                _ => false,
             };
             if fast {
                 // The send is progress; the stream stays due next tick.
@@ -98,45 +75,17 @@ impl RmbNetwork {
                     state = BusState::AwaitingHack { hops_left };
                 }
                 BusState::Streaming(mut s) => {
-                    // Deliveries (L ticks after send) and Dacks (2L ticks):
-                    // the flit about to land / be acked is `delivered` /
-                    // `acked`, and its send tick is closed-form.
-                    let span = u64::from(s.span);
-                    if 2 * span <= u64::from(s.window) {
-                        // Cruise: the window never gates the source
-                        // (W >= 2L), so `send_tick(i) = circuit_at + 1 + i`
-                        // and both counters catch up in closed form — the
-                        // min/max pair lands exactly where the loops below
-                        // stop, compiled to cmovs instead of branches.
-                        let nd =
-                            u64::from(s.delivered).max(now.saturating_sub(s.circuit_at + span));
-                        let nd = u64::from(s.next_seq).min(nd) as u32;
-                        let na =
-                            u64::from(s.acked).max(now.saturating_sub(s.circuit_at + 2 * span));
-                        s.acked = u64::from(s.next_seq).min(na) as u32;
-                        progressed |= nd != s.delivered;
-                        s.delivered = nd;
-                    } else {
-                        while s.delivered < s.next_seq && now >= s.send_tick(s.delivered) + span {
-                            s.delivered += 1;
-                            progressed = true;
-                        }
-                        while s.acked < s.next_seq && now >= s.send_tick(s.acked) + 2 * span {
-                            s.acked += 1;
-                        }
-                    }
+                    // The fast path above sends every data flit, so what
+                    // is left is the final flit and the deliveries
+                    // (`L` ticks after each send) still in flight.
+                    progressed |= s.catch_up(now);
                     if let Some(ff_at) = s.ff_sent_at {
-                        if now >= ff_at + span {
+                        if now >= ff_at + u64::from(s.span) {
                             // Final flit arrived: the message is delivered.
                             completed = Some(s);
                         }
-                    } else if s.next_seq < s.data_flits {
-                        if s.unacked() < s.window {
-                            debug_assert_eq!(now, s.send_tick(s.next_seq), "send recurrence");
-                            s.next_seq += 1;
-                            progressed = true;
-                        }
                     } else {
+                        debug_assert_eq!(s.next_seq, s.data_flits, "every data flit is out");
                         s.ff_sent_at = Some(now);
                         progressed = true;
                     }
@@ -149,7 +98,6 @@ impl RmbNetwork {
                     now,
                     bus.heights.len() as u32,
                     bus.spec.data_flits,
-                    window,
                 ));
                 progressed = true;
             }

@@ -77,22 +77,13 @@ impl fmt::Display for BusState {
 
 /// Book-keeping for the data-flit stream of an established circuit.
 ///
-/// Flits advance one segment per tick, so a data flit sent at tick `s`
-/// over a circuit of `L` hops is delivered at `s + L` and its `Dack` is
-/// back at the source at `s + 2L`. The source may have at most `window`
-/// unacked flits outstanding, which pins every send tick to a closed form:
-/// with the circuit up at tick `c` (so sends start at `c + 1`), flit `i`
-/// (0-based) goes out at
-///
-/// ```text
-/// t_i = c + 1 + i + max(0, 2L − W) · ⌊i / W⌋
-/// ```
-///
-/// because the send times obey `t_i = max(t_{i−1} + 1, t_{i−W} + 2L)`:
-/// back-to-back while the window has room, then stalled until the ack of
-/// the flit a window ago returns. That closed form replaces the old
-/// per-flit `VecDeque`s of send ticks with three counters (`next_seq`,
-/// `delivered`, `acked`) — the whole stream state is `Copy` and fits in a
+/// Flits advance one segment per tick and the source sends one data flit
+/// per tick, so with the circuit up at tick `c` data flit `i` (0-based)
+/// goes out at `c + 1 + i` and lands `L` ticks later over a circuit of `L`
+/// hops. A circuit buffers no flits and the destination PE takes one per
+/// tick, so no `Dack` window could do more than slow the source: `Dack`s
+/// are not modelled. That closed form reduces the stream to two counters
+/// (`next_seq`, `delivered`) — the whole state is `Copy` and fits in a
 /// cache line, which is what makes the per-active-circuit tick budget
 /// reachable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -104,58 +95,48 @@ pub struct StreamState {
     pub span: u32,
     /// Total data flits of the message, snapshotted from the spec.
     pub data_flits: u32,
-    /// Ack window `W`: max unacked flits in flight (`u32::MAX` =
-    /// unlimited, `1` = per-flit stop-and-wait).
-    pub window: u32,
     /// Next data-flit sequence number to send (= flits sent so far).
     pub next_seq: u32,
     /// Data flits delivered so far; flit `delivered` is the next to land.
     pub delivered: u32,
-    /// Data flits whose `Dack` has returned; flit `acked`'s ack is the
-    /// next due back.
-    pub acked: u32,
     /// Tick the final flit was sent, once all data flits are out.
     pub ff_sent_at: Option<u64>,
 }
 
 impl StreamState {
     /// Fresh stream for a circuit established at `circuit_at` over `span`
-    /// hops, carrying `data_flits` flits under ack window `window`.
+    /// hops, carrying `data_flits` flits.
     #[must_use]
-    pub const fn new(circuit_at: u64, span: u32, data_flits: u32, window: u32) -> Self {
+    pub const fn new(circuit_at: u64, span: u32, data_flits: u32) -> Self {
         StreamState {
             circuit_at,
             span,
             data_flits,
-            window,
             next_seq: 0,
             delivered: 0,
-            acked: 0,
             ff_sent_at: None,
         }
     }
 
     /// The tick data flit `i` (0-based) is sent, per the closed form
-    /// above. Only windows narrower than the round trip (`W < 2L`) ever
-    /// stall the source, so the division is skipped in the common
-    /// unlimited/wide-window case.
+    /// above.
     #[inline]
     #[must_use]
     pub fn send_tick(&self, i: u32) -> u64 {
-        let base = self.circuit_at + 1 + u64::from(i);
-        let excess = (2 * u64::from(self.span)).saturating_sub(u64::from(self.window));
-        if excess == 0 {
-            base
-        } else {
-            base + excess * u64::from(i / self.window)
-        }
+        self.circuit_at + 1 + u64::from(i)
     }
 
-    /// Flits sent but not yet acked — the window occupancy.
+    /// Counts every data flit sent so far that has landed by `now`, in
+    /// closed form (compiled to cmovs), and reports whether any landed
+    /// since the last call. `now` never decreases, so neither does the
+    /// count.
     #[inline]
-    #[must_use]
-    pub const fn unacked(&self) -> u32 {
-        self.next_seq - self.acked
+    pub(crate) fn catch_up(&mut self, now: u64) -> bool {
+        let landed = now.saturating_sub(self.circuit_at + u64::from(self.span));
+        let delivered = u64::from(self.next_seq).min(landed) as u32;
+        let progressed = delivered != self.delivered;
+        self.delivered = delivered;
+        progressed
     }
 }
 
@@ -288,47 +269,5 @@ mod tests {
             "tearing-down(2)"
         );
         assert_eq!(BusState::Nacked { freed: 1 }.to_string(), "nacked(1)");
-    }
-
-    /// The closed form must satisfy the windowed-send recurrence
-    /// `t_i = max(t_{i-1} + 1, t_{i-W} + 2L)` with `t_0 = c + 1` for every
-    /// span/window combination, including the stop-and-wait and unlimited
-    /// extremes.
-    #[test]
-    fn send_tick_satisfies_the_window_recurrence() {
-        for &(span, window) in &[
-            (1u32, 1u32),
-            (1, 2),
-            (3, 1),
-            (3, 2),
-            (3, 5),
-            (3, 6),
-            (3, 7),
-            (7, 3),
-            (5, u32::MAX),
-        ] {
-            let s = StreamState::new(17, span, 1000, window);
-            assert_eq!(s.send_tick(0), 18, "t_0 with L={span} W={window}");
-            for i in 1..200u32 {
-                let mut expect = s.send_tick(i - 1) + 1;
-                if i >= window {
-                    expect = expect.max(s.send_tick(i - window) + 2 * u64::from(span));
-                }
-                assert_eq!(
-                    s.send_tick(i),
-                    expect,
-                    "recurrence at i={i} L={span} W={window}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn stream_counters_track_queue_lengths() {
-        let mut s = StreamState::new(0, 2, 10, u32::MAX);
-        s.next_seq = 7;
-        s.delivered = 4;
-        s.acked = 2;
-        assert_eq!(s.unacked(), 5);
     }
 }

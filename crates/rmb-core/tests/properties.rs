@@ -7,7 +7,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rmb_core::{CompactionMode, LoneMemo, RmbNetwork, RmbNetworkBuilder, RunReport};
-use rmb_types::{AckMode, BusIndex, FaultPlan, MessageSpec, NodeId, RmbConfig};
+use rmb_types::{BusIndex, FaultPlan, MessageSpec, NodeId, RmbConfig};
 
 /// A generated workload item: (source, destination offset, flits, delay).
 type RawMsg = (u32, u32, u32, u64);
@@ -408,11 +408,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// A circuit alone on its ring, under any ack mode, never goes more
-    /// than its span plus one tick without progress; the longest pause is
-    /// the `Hack` return. A composition that counts every tick of a
-    /// replayed life as progress therefore reaches the ticked life's stall
-    /// decisions under any stall window of at least that.
+    /// A circuit alone on its ring never goes more than its span plus
+    /// one tick without progress; the longest pause is the `Hack` return.
+    /// A composition that counts every tick of a replayed life as
+    /// progress therefore reaches the ticked life's stall decisions under
+    /// any stall window of at least that.
     #[test]
     fn a_lone_circuit_pauses_at_most_its_span_plus_one(
         ring in 0u32..21,
@@ -420,18 +420,10 @@ proptest! {
         src in any::<u32>(),
         span in any::<u32>(),
         flits in 0u32..48,
-        ack in 0u8..3,
-        window in 1u32..40,
         at in 0u64..4,
     ) {
         let n = script_ring(ring);
-        let mode = match ack {
-            0 => AckMode::PerFlit,
-            1 => AckMode::Windowed { window },
-            _ => AckMode::Unlimited,
-        };
-        let cfg = RmbConfig::builder(n, k).ack_mode(mode).build().unwrap();
-        let mut net = RmbNetwork::builder(cfg).build();
+        let mut net = RmbNetwork::new(RmbConfig::new(n, k).unwrap());
         let (src, span) = (src % n, 1 + span % (n - 1));
         let dst = NodeId::new((src + span) % n);
         net.submit(MessageSpec::new(NodeId::new(src), dst, flits).at(at))

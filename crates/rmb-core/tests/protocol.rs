@@ -2,10 +2,8 @@
 //! routing protocol, compaction behaviour, refusal/retry, ablation modes,
 //! and randomized invariant checking.
 
-use rmb_core::{BusState, CompactionMode, RmbNetwork, RunReport};
-use rmb_types::{
-    AckMode, BusIndex, InsertionPolicy, MessageSpec, NodeId, RmbConfig, RmbConfigBuilder,
-};
+use rmb_core::{BusState, CompactionMode, RmbNetwork};
+use rmb_types::{BusIndex, InsertionPolicy, MessageSpec, NodeId, RmbConfig, RmbConfigBuilder};
 
 fn net(n: u32, k: u16) -> RmbNetwork {
     RmbNetwork::builder(RmbConfig::new(n, k).unwrap())
@@ -199,25 +197,6 @@ fn multi_send_extension_allows_parallel_sends() {
     assert_eq!(max_seen, 2, "future-work extension: two concurrent sends");
     let report = net.run_to_quiescence(100_000);
     assert_eq!(report.delivered, 2);
-}
-
-#[test]
-fn per_flit_ack_mode_slows_but_delivers() {
-    let run = |mode: AckMode| -> RunReport {
-        let cfg = RmbConfig::builder(8, 2).ack_mode(mode).build().unwrap();
-        let mut net = RmbNetwork::builder(cfg).checked(true).build();
-        net.submit(msg(0, 4, 32)).unwrap();
-        net.run_to_quiescence(100_000)
-    };
-    let fast = run(AckMode::Unlimited);
-    let windowed = run(AckMode::Windowed { window: 4 });
-    let slow = run(AckMode::PerFlit);
-    assert_eq!(fast.delivered, 1);
-    assert_eq!(windowed.delivered, 1);
-    assert_eq!(slow.delivered, 1);
-    // Stop-and-wait over a 4-hop circuit costs ~2L per flit.
-    assert!(slow.makespan() > windowed.makespan());
-    assert!(windowed.makespan() > fast.makespan());
 }
 
 #[test]

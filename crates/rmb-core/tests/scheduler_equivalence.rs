@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rmb_core::{CompactionMode, RmbNetwork, RunReport, SchedulerMode};
 use rmb_sim::trace::TraceEvent;
 use rmb_sim::SimRng;
-use rmb_types::{AckMode, BusIndex, FaultPlan, MessageSpec, NodeId, RmbConfig};
+use rmb_types::{BusIndex, FaultPlan, MessageSpec, NodeId, RmbConfig};
 
 /// Workload item: (source, destination offset, flits, delay) — the same
 /// shape the fault suite uses.
@@ -240,7 +240,6 @@ fn engines_agree_on_multicast() {
 #[test]
 fn engines_agree_with_windowed_acks_and_early_compaction() {
     let cfg = RmbConfig::builder(10, 4)
-        .ack_mode(AckMode::Windowed { window: 3 })
         .early_compaction(true)
         .head_timeout(64)
         .build()

@@ -8,7 +8,7 @@
 //! the message enters the bounded queue on the tick its leg completes and
 //! may launch the next leg on the following tick.
 
-use rmb_types::{AckMode, HierConfig, HierMessageSpec, NodeId, RmbConfig};
+use rmb_types::{HierConfig, HierMessageSpec, NodeId, RmbConfig};
 
 /// Ticks a message dwells in a bridge queue between two legs on an
 /// otherwise idle network (ingress on the delivery tick, egress launch on
@@ -23,17 +23,10 @@ pub const fn leg_delivery_ticks(span: u64, data_flits: u32) -> u64 {
 
 /// The longest one leg can live on an otherwise idle ring of `cfg`, from
 /// injection to teardown: [`leg_delivery_ticks`] over the longest span,
-/// the source's stalls under an ack window narrower than the round trip,
-/// and the tail-first teardown.
+/// then the tail-first teardown, one hop per tick.
 pub(crate) fn lone_leg_ticks(cfg: &RmbConfig, data_flits: u32) -> u64 {
     let span = u64::from(cfg.nodes().get() - 1);
-    let window = match cfg.ack_mode {
-        AckMode::PerFlit => 1,
-        AckMode::Windowed { window } => u64::from(window.max(1)),
-        AckMode::Unlimited => u64::MAX,
-    };
-    let stalls = (2 * span).saturating_sub(window) * (u64::from(data_flits) / window);
-    leg_delivery_ticks(span, data_flits) + stalls + span
+    leg_delivery_ticks(span, data_flits) + span
 }
 
 /// Predicts the end-to-end unloaded latency of `spec` under `cfg`:

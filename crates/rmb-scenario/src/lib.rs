@@ -71,7 +71,7 @@ pub mod toml;
 
 pub use run::{run_scenario, RecordedTrace, ScenarioOutcome};
 pub use schema::{
-    parse_scenario, Admission, Engine, FaultKindSpec, FaultSpec, Hotspot, Retention, RingSel,
-    Scenario, ServeOptions, Topology, Workload,
+    parse_scenario, Engine, FaultKindSpec, FaultSpec, Hotspot, RingSel, Scenario, ServeOptions,
+    Topology, Workload,
 };
 pub use toml::ScenarioError;

@@ -9,15 +9,15 @@
 //! on every host, which is what lets `scenarios/golden/` pin outputs
 //! exactly.
 
-use crate::schema::{Admission, Retention, RingSel, Scenario, ServeOptions, Topology, Workload};
+use crate::schema::{RingSel, Scenario, ServeOptions, Topology, Workload};
 use crate::toml::ScenarioError;
 use rmb_analysis::{RmbLattice, Table};
 use rmb_baselines::{KAryNCube, Network};
-use rmb_core::{LogRetention, RmbNetwork};
+use rmb_core::RmbNetwork;
 use rmb_hier::HierNetwork;
 use rmb_serve::{
-    serve_with_policy, AdmissionMode, DestinationPolicy, FlatTarget, HierTarget, ServeConfig,
-    ServeTarget, WormholeTarget,
+    serve_with_policy, DestinationPolicy, FlatTarget, HierTarget, ServeConfig, ServeTarget,
+    WormholeTarget,
 };
 use rmb_sim::SimRng;
 use rmb_types::json::escape;
@@ -226,11 +226,7 @@ fn build_flat(s: &Scenario) -> Result<RmbNetwork, ScenarioError> {
         .build()
         .map_err(external)?;
     let mut b = RmbNetwork::builder(cfg)
-        .log_retention(match s.engine.retention {
-            Retention::Full => LogRetention::Full,
-            Retention::Window(w) => LogRetention::Window(w as usize),
-            Retention::CountersOnly => LogRetention::CountersOnly,
-        })
+        .log_retention(s.engine.retention)
         .checked(s.engine.checked);
     if let Some(r) = s.engine.max_retries {
         b = b.max_retries(r);
@@ -466,10 +462,7 @@ fn run_serve(s: &Scenario, opts: &ServeOptions) -> Result<String, ScenarioError>
         warmup: opts.warmup,
         duration: opts.duration,
         flits,
-        admission: match opts.admission {
-            Admission::PerSource { depth } => AdmissionMode::PerSource { depth },
-            Admission::Aggregate { depth } => AdmissionMode::Aggregate { depth },
-        },
+        admission: opts.admission,
         seed: s.seed,
     };
     let policy = match hotspot {

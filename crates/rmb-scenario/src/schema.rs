@@ -4,6 +4,8 @@
 //! every rejection names the offending key and source line.
 
 use crate::toml::{parse_toml, ScenarioError, Spanned, TomlTable, TomlValue};
+use rmb_core::LogRetention;
+use rmb_serve::AdmissionMode;
 use rmb_types::{BusIndex, FaultPlan, NodeId};
 use std::fmt::Display;
 
@@ -160,23 +162,11 @@ impl Topology {
     }
 }
 
-/// Delivered-log retention of the flat ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Retention {
-    /// Keep every record (the default).
-    #[default]
-    Full,
-    /// Keep a sliding window of this many records.
-    Window(u32),
-    /// Keep aggregate counters only.
-    CountersOnly,
-}
-
 /// Engine options; the default value matches every builder default.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Engine {
     /// Delivered-log retention (flat ring only).
-    pub retention: Retention,
+    pub retention: LogRetention,
     /// Per-message retry budget (`None` = retry forever).
     pub max_retries: Option<u32>,
     /// Run per-tick invariant checks.
@@ -343,21 +333,6 @@ pub struct Hotspot {
     pub fraction: f64,
 }
 
-/// Admission policy of the serving driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Bound each source's outstanding messages.
-    PerSource {
-        /// Maximum outstanding messages per source.
-        depth: u32,
-    },
-    /// Bound the aggregate in-flight count at `depth * nodes`.
-    Aggregate {
-        /// Maximum in-flight messages per node, in aggregate.
-        depth: u32,
-    },
-}
-
 /// Open-loop serving options.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeOptions {
@@ -366,7 +341,7 @@ pub struct ServeOptions {
     /// Measured ticks after warmup.
     pub duration: u64,
     /// Admission policy.
-    pub admission: Admission,
+    pub admission: AdmissionMode,
 }
 
 /// Which carrier ring a hierarchical fault targets.
@@ -700,11 +675,11 @@ fn decode_scenario(root: &TomlTable) -> Result<Scenario, ScenarioError> {
     // Per-source admission polls completion records; counters-only
     // retention drops them.
     if let Some(ServeOptions {
-        admission: Admission::PerSource { .. },
+        admission: AdmissionMode::PerSource { .. },
         ..
     }) = serve
     {
-        if engine.retention == Retention::CountersOnly {
+        if engine.retention == LogRetention::CountersOnly {
             return Err(sec.err(
                 "serve.admission",
                 serve_line,
@@ -748,7 +723,7 @@ fn decode_scenario(root: &TomlTable) -> Result<Scenario, ScenarioError> {
         if serve.is_some() {
             return err("trace recording works in batch mode only");
         }
-        if engine.retention != Retention::Full {
+        if engine.retention != LogRetention::Full {
             return err(
                 "trace recording needs `retention = \"full\"` (the delivered log is the trace)",
             );
@@ -972,13 +947,13 @@ fn decode_engine(table: &TomlTable, topology: &Topology) -> Result<Engine, Scena
     }
 
     let is_hier = matches!(topology, Topology::Hier { .. });
-    let retention = match (sec.opt::<String>("retention")?, sec.opt("window")?) {
+    let retention = match (sec.opt::<String>("retention")?, sec.opt::<u32>("window")?) {
         (Some((_, line)), _) if is_hier => {
             let what = "only the flat topology exposes log retention";
             return Err(sec.err("retention", line, what));
         }
         (Some((s, _)), Some(w)) if s == "window" => {
-            Retention::Window(sec.at_least("window", w, 1)?.0)
+            LogRetention::Window(sec.at_least("window", w, 1)?.0 as usize)
         }
         (Some((s, line)), None) if s == "window" => {
             let what = "windowed retention needs a `window` key (>= 1)";
@@ -992,8 +967,8 @@ fn decode_engine(table: &TomlTable, topology: &Topology) -> Result<Engine, Scena
             let what = "only meaningful with `retention = \"window\"`";
             return Err(sec.err("window", line, what));
         }
-        (Some((s, _)), None) if s == "counters-only" => Retention::CountersOnly,
-        _ => Retention::Full,
+        (Some((s, _)), None) if s == "counters-only" => LogRetention::CountersOnly,
+        _ => LogRetention::Full,
     };
 
     let max_retries = sec.opt("max-retries")?.map(|(v, _)| v);
@@ -1136,9 +1111,9 @@ fn decode_serve(table: &TomlTable) -> Result<ServeOptions, ScenarioError> {
     let duration = sec.req_min("duration", 1)?.0;
     let depth = sec.opt_min("depth", 1)?.map_or(4, |(d, _)| d);
     let admission = match sec.opt::<String>("admission")? {
-        None => Admission::PerSource { depth },
-        Some((s, _)) if s == "per-source" => Admission::PerSource { depth },
-        Some((s, _)) if s == "aggregate" => Admission::Aggregate { depth },
+        None => AdmissionMode::PerSource { depth },
+        Some((s, _)) if s == "per-source" => AdmissionMode::PerSource { depth },
+        Some((s, _)) if s == "aggregate" => AdmissionMode::Aggregate { depth },
         Some((other, line)) => {
             let expected = "per-source or aggregate";
             return Err(sec.unknown("admission", line, "admission", &other, expected));

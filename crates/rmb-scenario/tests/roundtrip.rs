@@ -10,10 +10,12 @@
 
 use proptest::prelude::*;
 use proptest::{Strategy, TestRng};
+use rmb_core::LogRetention;
 use rmb_scenario::{
-    parse_scenario, Admission, Engine, FaultKindSpec, FaultSpec, Hotspot, Retention, RingSel,
-    Scenario, ServeOptions, Topology, Workload,
+    parse_scenario, Engine, FaultKindSpec, FaultSpec, Hotspot, RingSel, Scenario, ServeOptions,
+    Topology, Workload,
 };
+use rmb_serve::AdmissionMode;
 use std::fmt::{Debug, Write as _};
 
 // ---------------------------------------------------------------------------
@@ -94,18 +96,18 @@ fn gen_engine(rng: &mut TestRng, t: &mut Text, flat: bool, serve: bool) -> Engin
     let retention = match below(rng, 3) {
         1 if flat => {
             t.key("retention", "window");
-            Retention::Window(t.key("window", 1 + below(rng, 64) as u32))
+            LogRetention::Window(t.key("window", 1 + below(rng, 64) as usize))
         }
         2 if flat && !serve => {
             t.key("retention", "counters-only");
-            Retention::CountersOnly
+            LogRetention::CountersOnly
         }
         _ => {
             // The default, written out or left for the parser to supply.
             if flat && chance(rng, 50) {
                 t.key("retention", "full");
             }
-            Retention::Full
+            LogRetention::Full
         }
     };
     Engine {
@@ -243,12 +245,12 @@ fn gen_serve(rng: &mut TestRng, t: &mut Text, counters_only: bool) -> ServeOptio
     let depth = defaulted(rng, t, "depth", 4, |rng| 1 + below(rng, 10) as u32);
     let admission = if counters_only || chance(rng, 30) {
         t.key("admission", "aggregate");
-        Admission::Aggregate { depth }
+        AdmissionMode::Aggregate { depth }
     } else {
         if chance(rng, 50) {
             t.key("admission", "per-source");
         }
-        Admission::PerSource { depth }
+        AdmissionMode::PerSource { depth }
     };
     ServeOptions {
         warmup,
@@ -339,7 +341,7 @@ fn gen_scenario(rng: &mut TestRng) -> (Scenario, String) {
             for _ in 0..below(rng, 3) {
                 s.faults.push(gen_fault(rng, t, nodes, buses, None));
             }
-            if s.engine.retention == Retention::Full && chance(rng, 30) {
+            if s.engine.retention == LogRetention::Full && chance(rng, 30) {
                 t.table("[record]");
                 s.record = Some(t.key("trace", "traces/prop.trace.json".to_string()));
             }
@@ -349,7 +351,7 @@ fn gen_scenario(rng: &mut TestRng) -> (Scenario, String) {
             s.topology = gen_flat_topology(rng, t);
             s.engine = gen_engine(rng, t, true, true);
             s.workload = gen_streaming_workload(rng, t, s.topology.endpoints());
-            let counters = s.engine.retention == Retention::CountersOnly;
+            let counters = s.engine.retention == LogRetention::CountersOnly;
             s.serve = Some(gen_serve(rng, t, counters));
         }
         // Hier, batch.

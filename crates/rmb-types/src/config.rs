@@ -20,27 +20,6 @@ pub enum InsertionPolicy {
     AnyFreeBus,
 }
 
-/// How data-flit acknowledgements are generated.
-///
-/// The paper says each flit, or a group of flits, is acknowledged, and that
-/// `Dack` "may also be used for flow control" (§2.2). `Windowed { window }`
-/// caps the number of unacknowledged data flits in flight; `PerFlit` is the
-/// degenerate window of 1; `Unlimited` streams at wire speed and uses Dacks
-/// only for accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum AckMode {
-    /// One outstanding data flit at a time (stop-and-wait).
-    PerFlit,
-    /// At most `window` unacknowledged data flits in flight.
-    Windowed {
-        /// Maximum number of unacknowledged data flits.
-        window: u32,
-    },
-    /// No flow-control limit; the circuit is a clean pipeline.
-    #[default]
-    Unlimited,
-}
-
 /// Per-node behavioural limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeConfig {
@@ -101,8 +80,6 @@ pub struct RmbConfig {
     /// deadlock experiments in EXPERIMENTS.md). `None` (the default) runs
     /// the paper's protocol verbatim.
     pub head_timeout: Option<u64>,
-    /// Data-flit acknowledgement / flow-control mode.
-    pub ack_mode: AckMode,
     /// Per-node limits.
     pub node: NodeConfig,
 }
@@ -127,7 +104,6 @@ impl RmbConfig {
             early_compaction: true,
             insertion: InsertionPolicy::default(),
             head_timeout: None,
-            ack_mode: AckMode::default(),
             node: NodeConfig::default(),
         }
     }
@@ -157,7 +133,6 @@ pub struct RmbConfigBuilder {
     early_compaction: bool,
     insertion: InsertionPolicy,
     head_timeout: Option<u64>,
-    ack_mode: AckMode,
     node: NodeConfig,
 }
 
@@ -184,12 +159,6 @@ impl RmbConfigBuilder {
     /// `ticks` (an anti-deadlock extension; see [`RmbConfig::head_timeout`]).
     pub fn head_timeout(mut self, ticks: u64) -> Self {
         self.head_timeout = Some(ticks);
-        self
-    }
-
-    /// Sets the data-flit acknowledgement mode.
-    pub fn ack_mode(mut self, mode: AckMode) -> Self {
-        self.ack_mode = mode;
         self
     }
 
@@ -237,7 +206,6 @@ impl RmbConfigBuilder {
             early_compaction: self.early_compaction,
             insertion: self.insertion,
             head_timeout: self.head_timeout,
-            ack_mode: self.ack_mode,
             node: self.node,
         })
     }
@@ -282,7 +250,6 @@ mod tests {
             .compaction(false)
             .early_compaction(false)
             .insertion(InsertionPolicy::AnyFreeBus)
-            .ack_mode(AckMode::Windowed { window: 4 })
             .head_timeout(99)
             .retry_backoff(17)
             .max_concurrent_sends(3)
@@ -292,7 +259,6 @@ mod tests {
         assert!(!cfg.compaction);
         assert!(!cfg.early_compaction);
         assert_eq!(cfg.insertion, InsertionPolicy::AnyFreeBus);
-        assert_eq!(cfg.ack_mode, AckMode::Windowed { window: 4 });
         assert_eq!(cfg.head_timeout, Some(99));
         assert_eq!(cfg.node.retry_backoff, 17);
         assert_eq!(cfg.node.max_concurrent_sends, 3);

@@ -137,13 +137,6 @@ impl fmt::Display for HierLeg {
 pub enum HierConfigError {
     /// A hierarchy needs at least two local rings.
     TooFewRings(u32),
-    /// The bridge position lies outside the local ring.
-    BridgeOutsideRing {
-        /// The out-of-range bridge position.
-        bridge: NodeId,
-        /// Local ring size.
-        nodes: u32,
-    },
     /// The bridge queue needs at least one slot.
     ZeroQueueDepth,
     /// An underlying ring configuration was invalid.
@@ -156,10 +149,6 @@ impl fmt::Display for HierConfigError {
             HierConfigError::TooFewRings(r) => {
                 write!(f, "a hierarchy needs at least 2 local rings, got {r}")
             }
-            HierConfigError::BridgeOutsideRing { bridge, nodes } => write!(
-                f,
-                "bridge position {bridge} is outside the {nodes}-node local ring"
-            ),
             HierConfigError::ZeroQueueDepth => f.write_str("bridge queue depth must be at least 1"),
             HierConfigError::Ring(e) => write!(f, "invalid ring configuration: {e}"),
         }
@@ -182,7 +171,6 @@ pub struct HierConfig {
     rings: u32,
     local: RmbConfig,
     global: RmbConfig,
-    bridge: NodeId,
     bridge_queue_depth: u32,
     bridge_backoff: u64,
 }
@@ -197,7 +185,6 @@ impl HierConfig {
             local_nodes: nodes_per_ring,
             local_buses: buses,
             global_buses: buses,
-            bridge: NodeId::new(0),
             bridge_queue_depth: 4,
             bridge_backoff: 8,
             head_timeout: None,
@@ -220,9 +207,9 @@ impl HierConfig {
         &self.global
     }
 
-    /// Position of the bridge INC on each local ring.
+    /// Position of the bridge INC on each local ring: node 0.
     pub const fn bridge(&self) -> NodeId {
-        self.bridge
+        NodeId::new(0)
     }
 
     /// Bound on messages a bridge may hold (queued plus in transit to or
@@ -254,7 +241,7 @@ impl HierConfig {
 
     /// `true` when `addr` names a bridge position (no PE there).
     pub fn is_bridge(&self, addr: NodeAddr) -> bool {
-        addr.node == self.bridge
+        addr.node == self.bridge()
     }
 
     /// Maps an address onto the equal-node-count flat ring used by the
@@ -271,7 +258,6 @@ pub struct HierConfigBuilder {
     local_nodes: u32,
     local_buses: u16,
     global_buses: u16,
-    bridge: NodeId,
     bridge_queue_depth: u32,
     bridge_backoff: u64,
     head_timeout: Option<u64>,
@@ -284,13 +270,6 @@ impl HierConfigBuilder {
     #[must_use]
     pub fn global_buses(mut self, k: u16) -> Self {
         self.global_buses = k;
-        self
-    }
-
-    /// Places the bridge INC at `node` on every local ring (default 0).
-    #[must_use]
-    pub fn bridge(mut self, node: NodeId) -> Self {
-        self.bridge = node;
         self
     }
 
@@ -329,8 +308,7 @@ impl HierConfigBuilder {
     /// # Errors
     ///
     /// Returns [`HierConfigError`] when a ring configuration is invalid,
-    /// fewer than two rings are requested, the bridge position is outside
-    /// the local ring, or the queue depth is zero.
+    /// fewer than two rings are requested, or the queue depth is zero.
     pub fn build(self) -> Result<HierConfig, HierConfigError> {
         let mut local = RmbConfig::builder(self.local_nodes, self.local_buses);
         let mut global = RmbConfig::builder(self.rings.max(2), self.global_buses);
@@ -346,12 +324,6 @@ impl HierConfigBuilder {
         if self.rings < 2 {
             return Err(HierConfigError::TooFewRings(self.rings));
         }
-        if !local.nodes().contains(self.bridge) {
-            return Err(HierConfigError::BridgeOutsideRing {
-                bridge: self.bridge,
-                nodes: local.nodes().get(),
-            });
-        }
         if self.bridge_queue_depth == 0 {
             return Err(HierConfigError::ZeroQueueDepth);
         }
@@ -359,7 +331,6 @@ impl HierConfigBuilder {
             rings: self.rings,
             local,
             global,
-            bridge: self.bridge,
             bridge_queue_depth: self.bridge_queue_depth,
             bridge_backoff: self.bridge_backoff.max(1),
         })
@@ -402,7 +373,6 @@ mod tests {
     fn builder_knobs_propagate() {
         let cfg = HierConfig::builder(2, 8, 2)
             .global_buses(3)
-            .bridge(NodeId::new(7))
             .bridge_queue_depth(1)
             .bridge_backoff(16)
             .head_timeout(99)
@@ -410,7 +380,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(cfg.global().buses(), 3);
-        assert_eq!(cfg.bridge(), NodeId::new(7));
         assert_eq!(cfg.bridge_queue_depth(), 1);
         assert_eq!(cfg.bridge_backoff(), 16);
         assert_eq!(cfg.local().head_timeout, Some(99));
@@ -423,10 +392,6 @@ mod tests {
         assert!(matches!(
             HierConfig::builder(1, 8, 2).build(),
             Err(HierConfigError::TooFewRings(1))
-        ));
-        assert!(matches!(
-            HierConfig::builder(4, 8, 2).bridge(NodeId::new(8)).build(),
-            Err(HierConfigError::BridgeOutsideRing { .. })
         ));
         assert!(matches!(
             HierConfig::builder(4, 8, 2).bridge_queue_depth(0).build(),
@@ -455,11 +420,6 @@ mod tests {
     fn error_display_is_lowercase() {
         let msgs = [
             HierConfigError::TooFewRings(1).to_string(),
-            HierConfigError::BridgeOutsideRing {
-                bridge: NodeId::new(9),
-                nodes: 8,
-            }
-            .to_string(),
             HierConfigError::ZeroQueueDepth.to_string(),
             HierConfigError::Ring(crate::ConfigError::NoBuses).to_string(),
         ];

@@ -36,7 +36,7 @@ pub mod json;
 mod message;
 pub mod report;
 
-pub use config::{AckMode, InsertionPolicy, NodeConfig, RmbConfig, RmbConfigBuilder};
+pub use config::{InsertionPolicy, NodeConfig, RmbConfig, RmbConfigBuilder};
 pub use error::{ConfigError, ProtocolError};
 pub use exec::PerfStats;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanError};

@@ -60,9 +60,8 @@ step "rustdoc (warnings as errors, rmb-core with and without its oracle feature)
 step "clippy (perf lints as errors)" \
   cargo clippy --workspace --all-targets -- -D clippy::perf
 
-step "clippy (all warnings as errors on the scheduler/fault/builder path)" \
-  cargo clippy -p rmb-types -p rmb-workloads -p rmb-sim -p rmb-core -p rmb-hier \
-  -p rmb-serve -p rmb-scenario -p rmb-bench -p rmb-async --all-targets -- -D warnings
+step "clippy (all warnings as errors on every crate)" \
+  cargo clippy --workspace --all-targets -- -D warnings
 
 # Tests of rmb-core enable its dev-only `oracle` feature, and a root
 # `cargo test` unifies it on for every crate. The library target alone
