@@ -1,11 +1,13 @@
 //! The invariant checker behind [`RmbNetwork::check_invariants`], whose
 //! docs list the invariants, and behind checked mode's tick end. One walk
 //! over the live buses checks them bus by bus, filling two flat `N·k`
-//! tables indexed like the segment table: each segment's expected owner and
-//! the Table 1 code of the output port that drives it. A count of occupied
-//! segments then finishes #1, and #6 reads the bitmaps once.
+//! tables indexed like the segment table, each segment's expected owner and
+//! the Table 1 code of the output port that drives it, and rebuilding the
+//! link and immobile lanes. A count of occupied segments then finishes #1,
+//! #6 reads the bitmaps once, and #7 compares the lanes word by word.
 
 use crate::network::RmbNetwork;
+use crate::occupancy::Occupancy;
 use crate::status::{PortStatus, SourceDir};
 use crate::virtual_bus::BusState;
 use rmb_types::{BusIndex, InsertionPolicy, VirtualBusId};
@@ -33,12 +35,14 @@ fn fail(invariant: &'static str, detail: String) -> Result<(), InvariantViolatio
     Err(InvariantViolation { invariant, detail })
 }
 
-/// What checks keep between ticks: the walk's two tables, reused, and per
-/// bus slot the bus that held it at the last check with its heights then.
+/// What checks keep between ticks: the walk's two tables and rebuilt
+/// lanes, reused, and per bus slot the bus that held it at the last check
+/// with its heights then.
 #[derive(Debug, Default)]
 pub(crate) struct CheckState {
     owner: Vec<Option<VirtualBusId>>,
     codes: Vec<PortStatus>,
+    lanes: Option<Occupancy>,
     history: Vec<(Option<VirtualBusId>, Vec<BusIndex>)>,
 }
 
@@ -62,6 +66,9 @@ pub(crate) fn check_network(
     owner.resize(segments.len(), None);
     codes.clear();
     codes.resize(segments.len(), PortStatus::UNUSED);
+    let n = ring.as_usize();
+    let lanes = st.lanes.get_or_insert_with(|| Occupancy::new(n, k));
+    lanes.clear();
     let mut claims = 0;
     for (slot, bus, state) in net.buses_raw().values_with_state() {
         let id = bus.id;
@@ -104,7 +111,10 @@ pub(crate) fn check_network(
                     return fail("port-codes", detail);
                 }
                 codes[seg] = code;
+                // 7. The previous hop's link, now that it is in reach.
+                lanes.link((h + n - 1) % n, from.as_usize(), l);
             }
+            lanes.set_immobile(h, l, bus.hop_immobile(state, j, cfg));
             // 5. Fault isolation: a live circuit never occupies a faulted
             // segment. (Unowned faulted segments are legal, as are dying
             // circuits whose teardown has not yet swept past the fault.)
@@ -122,14 +132,6 @@ pub(crate) fn check_network(
             if bus.head_node(ring) != bus.spec.destination && !last.is_adjacent_or_equal(top) {
                 let detail = format!("bus {id} is establishing but its head hop sits at {last}");
                 return fail("head-pinning", format!("{detail}, out of reach of {top}"));
-            }
-        }
-
-        // 7. Plane lockstep: the height planes compaction decides from
-        // agree bit for bit with the heights they transpose.
-        if lockstep {
-            if let Err(detail) = net.verify_planes(slot, &bus.heights) {
-                return fail("plane-lockstep", format!("bus {id}: {detail}"));
             }
         }
 
@@ -184,6 +186,12 @@ pub(crate) fn check_network(
     // agrees bit for bit with the owner and fault tables it shadows.
     if let Err(detail) = net.verify_occupancy() {
         return fail("bitmap-lockstep", detail);
+    }
+
+    // 7. Lane lockstep: the link and immobile lanes compaction decides from
+    // agree bit for bit with the ones the walk rebuilt.
+    if let Err(detail) = net.verify_lanes(lanes) {
+        return fail("lane-lockstep", detail);
     }
     Ok(())
 }

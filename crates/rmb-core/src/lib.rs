@@ -59,7 +59,6 @@ pub mod microsim;
 mod network;
 mod occupancy;
 mod options;
-mod planes;
 mod render;
 mod status;
 mod virtual_bus;

@@ -30,29 +30,30 @@
 //! the stream/teardown kernel reads a circuit's state out of the lane,
 //! advances it in registers and writes it back, touching the cold
 //! [`VirtualBus`] struct only on transitions. Segment occupancy is one
-//! flat array (`hop * k + bus`), mirrored into packed per-bus bitmaps
-//! (`occupancy::Occupancy`) kept in lockstep at every
-//! occupy/release/fault/repair, so
-//! [`segment_owner`](RmbNetwork::segment_owner) is an array read and
-//! [`path_feasible`](RmbNetwork::path_feasible) ANDs the bus layers'
-//! blocked bits 64 hops at a time.
+//! flat array (`hop * k + bus`), mirrored into packed ring-wide lanes per
+//! bus level (`occupancy::Occupancy`) kept in lockstep at every
+//! transition, so [`segment_owner`](RmbNetwork::segment_owner) is an array
+//! read, [`path_feasible`](RmbNetwork::path_feasible) ANDs the bus layers'
+//! blocked bits 64 hops at a time, and compaction decides a level's moves
+//! for 64 ring positions per word without asking which circuit owns a
+//! hop.
 //!
 //! # Scheduling
 //!
-//! The *event-driven* engine keeps a per-bus `next_due` tick, a ready set
-//! plus an event queue for injection queues, and a dirty set
-//! for compaction, so a tick costs O(circuits with due work) rather than
-//! O(N·k). Test builds (the `oracle` feature) keep the classic *dense
-//! sweep*, which touches every live bus and every INC each tick, as its
-//! cross-check oracle: the two are byte-identical by construction and by
-//! test (see `tests/scheduler_equivalence.rs`). Without the feature the
-//! dense arms compile out.
+//! The *event-driven* engine keeps a per-bus `next_due` tick and a ready
+//! set plus an event queue for injection queues, and skips compaction
+//! once the ring has settled, so a tick costs O(circuits with due work)
+//! rather than O(N·k). Test builds (the `oracle` feature) keep the
+//! classic *dense sweep*, which touches every live bus and every INC each
+//! tick and decides compaction hop by hop, as its cross-check oracle: the
+//! two are byte-identical by construction and by test (see
+//! `tests/scheduler_equivalence.rs`). Without the feature the dense arms
+//! compile out.
 
 use crate::cycle::CycleRing;
 use crate::invariants::{check_network, CheckState, InvariantViolation};
 use crate::occupancy::Occupancy;
 use crate::options::{RmbNetworkBuilder, SimOptions};
-use crate::planes::HeightPlanes;
 use crate::virtual_bus::{BusState, VirtualBus};
 use rmb_sim::trace::{TraceEvent, TraceKind, VecSink};
 use rmb_sim::{QuantileSketch, SimRng, Tick};
@@ -72,7 +73,6 @@ mod sched;
 mod slab;
 mod stream;
 
-use compact::MoveCmd;
 pub use logs::RunReport;
 pub use lone::{LoneLife, LoneMemo};
 use sched::SchedState;
@@ -134,9 +134,10 @@ pub struct RmbNetwork {
     /// Flat segment-occupancy table: the segment between node `hop` and
     /// node `hop + 1` at height `bus` is `segments[hop * k + bus]`.
     segments: Vec<Option<VirtualBusId>>,
-    /// Packed occupancy/fault bitmaps, kept in lockstep with `segments`
-    /// and `fault_count` (invariant #6). Answers the hot availability and
-    /// path-feasibility queries.
+    /// Packed occupancy, fault and compaction lanes, kept in lockstep with
+    /// `segments`, `fault_count` and the live buses (invariants #6 and
+    /// #7). Answers the hot availability and path-feasibility queries and
+    /// decides compaction.
     occ: Occupancy,
     buses: BusSlab,
     nodes: Vec<NodeState>,
@@ -150,9 +151,6 @@ pub struct RmbNetwork {
     /// Total requests sitting in node queues (cached so quiescence checks
     /// don't scan all N nodes).
     pending_total: usize,
-    /// `true` while the event engine also tracks the compaction dirty set
-    /// (event-driven + synchronous compaction + compaction enabled).
-    track_dirty: bool,
     /// Event-driven scheduler state (unused by the dense sweep).
     sched: SchedState,
     // Fault machinery.
@@ -201,26 +199,18 @@ pub struct RmbNetwork {
     latency_sum: u64,
     setup_sum: u64,
     last_delivery_at: u64,
-    // Reusable per-tick scratch (kept to avoid per-tick allocation).
-    scratch_moves: Vec<MoveCmd>,
     // Tracing.
     recorder: Option<VecSink>,
     /// Live-bus state the tick reaches through one pointer.
     aside: Box<Aside>,
 }
 
-/// Live-bus state held behind one box rather than inline in
-/// [`RmbNetwork`]: an inline field shifts the layout of the tick-hot
-/// fields around it. The 64-byte planes slowed the streaming-only tick
-/// (`tick_kernel/per_circuit`, which never compacts) by a few per cent,
-/// and an 8-byte lone-circuit pointer slowed `flat-serve`, which never
-/// replays a lone circuit, by about 5 %.
+/// State held behind one box rather than inline in [`RmbNetwork`]: an
+/// inline field shifts the layout of the tick-hot fields around it. An
+/// 8-byte lone-circuit pointer slowed `flat-serve`, which never replays a
+/// lone circuit, by about 5 %.
 #[derive(Debug)]
 struct Aside {
-    /// Per-slot height planes of the live buses, kept in lockstep with
-    /// every bus's `heights` (invariant #7); compaction reads them 64
-    /// hops at a time.
-    planes: HeightPlanes,
     /// The lone circuit `run_window` records or defers (see the `lone`
     /// module).
     lone: Option<lone::Lone>,
@@ -279,7 +269,7 @@ impl RmbNetwork {
         let fault_seed = opts.fault_seed;
         let recording = opts.recording;
         let sketch = opts.latency_sketch.then(QuantileSketch::latency_defaults);
-        let mut net = RmbNetwork {
+        RmbNetwork {
             cfg,
             now: Tick::ZERO,
             segments: vec![None; n * k],
@@ -292,7 +282,6 @@ impl RmbNetwork {
             next_bus: 0,
             busy_segments: 0,
             pending_total: 0,
-            track_dirty: false,
             sched: SchedState {
                 ready_mask: vec![false; n],
                 ..SchedState::default()
@@ -323,18 +312,12 @@ impl RmbNetwork {
             latency_sum: 0,
             setup_sum: 0,
             last_delivery_at: 0,
-            scratch_moves: Vec::new(),
             recorder: recording.then(VecSink::new),
             aside: Box::new(Aside {
-                planes: HeightPlanes::new(n, k),
                 lone: None,
                 checks: CheckState::default(),
             }),
-        };
-        net.track_dirty = net.event_driven()
-            && net.cfg.compaction
-            && matches!(net.opts.compaction_mode, CompactionMode::Synchronous);
-        net
+        }
     }
 
     /// The options this network runs under.
@@ -396,14 +379,14 @@ impl RmbNetwork {
         self.occ.verify(&self.segments, &self.fault_count)
     }
 
-    /// Checks the height planes of the bus in `slot` against its
-    /// `heights` (invariant #7).
+    /// Compares the link and immobile lanes with `expected`, rebuilt from
+    /// the heights and states (invariant #7).
     ///
     /// # Errors
     ///
     /// Returns a description of the first divergence.
-    pub(crate) fn verify_planes(&self, slot: usize, heights: &[BusIndex]) -> Result<(), String> {
-        self.aside.planes.verify(slot, heights)
+    pub(crate) fn verify_lanes(&self, expected: &Occupancy) -> Result<(), String> {
+        self.occ.verify_lanes(expected)
     }
 
     /// The last tick on which the ring made progress: a fault event, an
@@ -867,14 +850,13 @@ impl RmbNetwork {
     /// 6. **Bitmap lockstep** — the packed occupancy bitmaps the hot path
     ///    queries (per-bus occupied and faulted bits) agree bit-for-bit
     ///    with the authoritative segment owner and fault tables.
-    /// 7. **Plane lockstep** — the per-slot height planes word-parallel
-    ///    compaction reads agree bit-for-bit with every live bus's
-    ///    `heights`, and each slot's recorded level range is exactly the
-    ///    lowest and highest height its bus occupies.
+    /// 7. **Lane lockstep** — the link and immobile lanes compaction decides
+    ///    from agree bit-for-bit with lanes rebuilt from every live bus's
+    ///    `heights` and state, and no decided move is left unapplied.
     ///
-    /// One walk over the live buses checks #1–#5 and #7 bus by bus; a count
-    /// of the occupied segments then finishes #1, and #6 reads the tables
-    /// once. A further property, *downward-only motion* (§2.2: "The motion
+    /// One walk over the live buses checks #1–#5 bus by bus and rebuilds
+    /// #7's lanes; a count of the occupied segments then finishes #1, #6
+    /// reads the tables once, and #7 compares the lanes word by word. A further property, *downward-only motion* (§2.2: "The motion
     /// of virtual-buses for the purpose of compaction is only downwards"),
     /// needs history: checked mode's tick end runs the same walk against
     /// the heights of the tick before. The paper's "this feature provides
@@ -912,7 +894,7 @@ impl RmbNetwork {
         debug_assert!(slot.is_none(), "segment double-booked");
         *slot = Some(id);
         self.busy_segments += 1;
-        self.occ.assign_occupied(hop, bus.as_usize(), true);
+        self.occ.occupy(hop, bus.as_usize());
     }
 
     fn release(&mut self, hop: usize, bus: BusIndex) {
@@ -921,12 +903,7 @@ impl RmbNetwork {
         debug_assert!(slot.is_some(), "releasing a free segment");
         *slot = None;
         self.busy_segments -= 1;
-        self.occ.assign_occupied(hop, bus.as_usize(), false);
-        // A segment that faulted under its occupant stays out of the
-        // availability pool until its repair.
-        if self.fault_count[idx] == 0 {
-            self.wake_above(hop, bus);
-        }
+        self.occ.release(hop, bus.as_usize());
     }
 
     fn trace(
@@ -1073,7 +1050,7 @@ mod invariant_tests {
     }
 
     /// Moves hop `j` of the bus in `slot` to `height` in its heights and
-    /// in the owner table, leaving the bitmaps and planes behind.
+    /// in the owner table, leaving the lanes behind.
     fn relocate(net: &mut RmbNetwork, slot: usize, j: usize, height: u16) {
         let k = net.cfg.buses() as usize;
         let bus = net.buses.at_mut(slot);
@@ -1104,9 +1081,9 @@ mod invariant_tests {
     }
 
     /// Re-records hop `j` of the bus in `slot` at `height` (or drops it,
-    /// for `None`) everywhere the network keeps it: heights, owner table,
-    /// bitmaps and planes. Invariants #1–#7 keep holding as long as the
-    /// new shape is continuous and its segments free.
+    /// for `None`) everywhere the network keeps it: heights, owner table
+    /// and lanes. Invariants #1–#7 keep holding as long as the new shape is
+    /// continuous and its segments free.
     fn rewrite_hop(net: &mut RmbNetwork, slot: usize, j: usize, height: Option<u16>) {
         let k = net.cfg.buses() as usize;
         let bus = net.buses.at_mut(slot);
@@ -1116,17 +1093,14 @@ mod invariant_tests {
             Some(h) => bus.heights[j] = BusIndex::new(h),
             None => assert_eq!(bus.heights.pop(), Some(old), "only the head hop drops"),
         }
-        let (id, heights) = (bus.id, bus.heights.clone());
+        let id = bus.id;
         net.segments[hop * k + old.as_usize()] = None;
-        net.occ.assign_occupied(hop, old.as_usize(), false);
+        net.occ.release(hop, old.as_usize());
         if let Some(h) = height {
             net.segments[hop * k + usize::from(h)] = Some(id);
-            net.occ.assign_occupied(hop, usize::from(h), true);
+            net.occ.occupy(hop, usize::from(h));
         }
-        net.aside.planes.reset(slot, heights[0]);
-        for (j, &h) in heights.iter().enumerate().skip(1) {
-            net.aside.planes.push(slot, j, h);
-        }
+        net.link_hops(slot);
         assert_eq!(net.check_invariants(), Ok(()));
     }
 
@@ -1218,15 +1192,18 @@ mod invariant_tests {
     #[test]
     fn bitmap_lockstep_catches_a_stale_occupied_bit() {
         let (mut net, _) = live(4);
-        net.occ.assign_occupied(7, 0, true);
+        net.occ.occupy(7, 0);
         assert_eq!(violated(&net), "bitmap-lockstep");
     }
 
     #[test]
-    fn plane_lockstep_catches_a_bit_for_a_hop_the_bus_lacks() {
+    fn lane_lockstep_catches_a_link_past_the_last_hop() {
         let (mut net, slot) = live(4);
-        let hops = net.buses.at(slot).heights.len();
-        net.aside.planes.push(slot, hops, BusIndex::new(0));
-        assert_eq!(violated(&net), "plane-lockstep");
+        let bus = net.buses.at(slot);
+        let last = bus.heights.len() - 1;
+        let hop = bus.hop_upstream_node(net.cfg.nodes(), last).as_usize();
+        let height = bus.heights[last].as_usize();
+        net.occ.link(hop, height, height);
+        assert_eq!(violated(&net), "lane-lockstep");
     }
 }

@@ -1,6 +1,7 @@
 //! The establishment phases: destinations decide on parked headers
 //! (accept, refuse, time out), then headers extend one hop (§2.3).
 
+use super::compact::mark_mobility;
 use super::RmbNetwork;
 use crate::virtual_bus::BusState;
 use rmb_sim::trace::TraceKind;
@@ -81,9 +82,7 @@ impl RmbNetwork {
                     bus.parked_since = now;
                     self.trace(TraceKind::Accept, id, head, None, "multicast tap armed");
                 } else {
-                    self.buses.set_state(id, BusState::Nacked { freed: 0 });
-                    self.refusals += 1;
-                    self.wake_bus(id);
+                    self.refuse(id);
                     self.trace(TraceKind::Refuse, id, head, None, "multicast tap busy");
                 }
                 self.last_progress = now;
@@ -94,9 +93,7 @@ impl RmbNetwork {
                     let parked_since = self.buses.get(id).expect("bus is live").parked_since;
                     let parked = now.saturating_sub(parked_since);
                     if parked > limit {
-                        self.buses.set_state(id, BusState::Nacked { freed: 0 });
-                        self.refusals += 1;
-                        self.wake_bus(id);
+                        self.refuse(id);
                         self.trace(
                             TraceKind::Refuse,
                             id,
@@ -120,18 +117,25 @@ impl RmbNetwork {
                     .set_state(id, BusState::AwaitingHack { hops_left: span });
                 self.nodes[dst.as_usize()].receives_active += 1;
                 self.wake_bus(id);
-                // With early compaction the circuit is assessable from
-                // the Hack onwards (§2.4).
-                self.mark_dirty(id);
+                // No hop changes mobility: the head has reached the
+                // destination, so no hop feeds a parked head, and the
+                // circuit is as assessable awaiting the Hack as before.
                 self.trace(TraceKind::Accept, id, dst, None, "destination accepted");
             } else {
-                self.buses.set_state(id, BusState::Nacked { freed: 0 });
-                self.refusals += 1;
-                self.wake_bus(id);
+                self.refuse(id);
                 self.trace(TraceKind::Refuse, id, dst, None, "destination busy");
             }
             self.last_progress = now;
         }
+    }
+
+    /// Refuses the establishing bus `id` with a `Nack`, which frees it
+    /// tail-first from the next stream phase; it never sinks again.
+    fn refuse(&mut self, id: VirtualBusId) {
+        self.buses.set_state(id, BusState::Nacked { freed: 0 });
+        self.refresh_mobility(id);
+        self.refusals += 1;
+        self.wake_bus(id);
     }
 
     pub(super) fn extend_heads(&mut self) {
@@ -193,12 +197,19 @@ impl RmbNetwork {
                     "extension out of the INC switching range"
                 );
                 self.occupy(hop, height, id);
+                let prev = if hop == 0 { ring.as_usize() } else { hop } - 1;
+                self.occ
+                    .link(prev, last_height.as_usize(), height.as_usize());
                 let slot = self.buses.slot(id).expect("bus is live");
-                let bus = self.buses.get_mut(id).expect("bus is live");
-                self.aside.planes.push(slot, bus.heights.len(), height);
+                let bus = self.buses.at_mut(slot);
                 bus.heights.push(height);
                 bus.parked_since = now;
-                self.mark_dirty(id);
+                let hops = bus.heights.len();
+                // The old head hop no longer feeds the header; the new one
+                // does, unless the header has reached its destination.
+                let bus = self.buses.at(slot);
+                let state = BusState::Establishing;
+                mark_mobility(&mut self.occ, &self.cfg, bus, state, hops - 2..hops);
                 self.trace(
                     TraceKind::Extend,
                     id,

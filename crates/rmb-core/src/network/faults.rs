@@ -118,11 +118,6 @@ impl RmbNetwork {
         self.fault_count[idx] -= 1;
         if self.fault_count[idx] == 0 {
             self.occ.assign_faulted(hop, bus.as_usize(), false);
-            if self.segments[idx].is_none() {
-                // The segment is available again: the circuit directly
-                // above (if any) may now have a downward move.
-                self.wake_above(hop, bus);
-            }
         }
     }
 
@@ -151,6 +146,7 @@ impl RmbNetwork {
         }
         let now = self.now.get();
         self.buses.set_state(id, BusState::Nacked { freed: 0 });
+        self.refresh_mobility(id);
         let bus = self.buses.get_mut(id).expect("bus is live");
         bus.fault_killed = true;
         let request = bus.request.get();

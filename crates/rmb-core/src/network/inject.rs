@@ -1,6 +1,7 @@
 //! The injection phase: the front request of a node's queue enters the
 //! ring as a header flit on its source hop (§2.2–2.3).
 
+use super::compact::mark_mobility;
 use super::RmbNetwork;
 use crate::virtual_bus::{BusState, VirtualBus};
 use rmb_sim::trace::TraceKind;
@@ -157,9 +158,10 @@ impl RmbNetwork {
             );
             self.buses.insert(bus, BusState::Establishing);
             let slot = self.buses.slot(id).expect("freshly inserted bus");
-            self.aside.planes.reset(slot, height);
+            let bus = self.buses.at(slot);
+            mark_mobility(&mut self.occ, &self.cfg, bus, BusState::Establishing, 0..1);
             if self.event_driven() {
-                self.sched_init_bus(id);
+                self.sched_init_bus(id, slot);
             }
             self.last_progress = now;
             InjectOutcome::Injected

@@ -491,10 +491,6 @@ impl RmbNetwork {
         for (j, &height) in (0u32..).zip(&life.heights) {
             self.occupy(ring.advance(src, j).as_usize(), height, lone.id);
         }
-        self.aside.planes.reset(slot, life.heights[0]);
-        for (j, &height) in life.heights.iter().enumerate().skip(1) {
-            self.aside.planes.push(slot, j, height);
-        }
         let bus = self.buses.at_mut(slot);
         bus.heights.clone_from(&life.heights);
         bus.parked_since = lone.t0 + life.parked;
@@ -503,14 +499,12 @@ impl RmbNetwork {
         self.nodes[dst.as_usize()].receives_active += 1;
         self.buses
             .set_state_at(slot, BusState::TearingDown { freed: 0 });
+        // A bus tearing down never sinks.
+        self.link_hops(slot);
         if self.event_driven() {
-            // A bus tearing down acts every tick and never compacts.
-            let sched = &mut self.sched;
-            sched.next_due[slot] = delivered_at + 1;
-            sched.dirty[slot] = false;
-            sched.establishing.clear();
-            sched.compact_dirty.clear();
-            sched.pending_wakes.clear();
+            // A bus tearing down acts every tick.
+            self.sched.next_due[slot] = delivered_at + 1;
+            self.sched.establishing.clear();
         }
         self.now = Tick::new(delivered_at);
         let buses = std::mem::take(&mut self.buses);

@@ -1,10 +1,10 @@
 //! Bookkeeping of the event-driven scheduler: per-slot wake ticks, the
-//! compaction dirty set, and the ready set plus event queue of the
+//! establishing list, and the ready set plus event queue of the
 //! injection queues. DESIGN.md §8a states the wake discipline.
 
 use super::RmbNetwork;
 use rmb_sim::{EventQueue, Tick};
-use rmb_types::{BusIndex, VirtualBusId};
+use rmb_types::VirtualBusId;
 
 /// State of the event-driven scheduler.
 ///
@@ -17,48 +17,20 @@ pub(super) struct SchedState {
     /// Per-slot earliest tick at which the bus next has stream/teardown
     /// work (`u64::MAX` for parked `Establishing` buses).
     pub(super) next_due: Vec<u64>,
-    /// Per-slot membership flag for `compact_dirty`.
-    pub(super) dirty: Vec<bool>,
-    /// Per-slot count of consecutive compaction activations that found no
-    /// move for this bus; at 2 (one odd + one even phase) it goes clean.
-    pub(super) clean_streak: Vec<u8>,
     /// Live `Establishing` buses in ascending id order, compacted lazily
     /// as buses leave the state (drives the decide/extend phases).
     pub(super) establishing: Vec<VirtualBusId>,
-    /// Buses that may have an eligible compaction move, ascending id
-    /// order (may contain dead ids until they are iterated over).
-    pub(super) compact_dirty: Vec<VirtualBusId>,
     /// Nodes whose queue front is due for injection, ascending.
     pub(super) ready: Vec<u32>,
     /// Per-node membership flag for `ready`.
     pub(super) ready_mask: Vec<bool>,
     /// One entry per node whose queue front becomes due at a future tick.
     pub(super) waiting: EventQueue<u32>,
-    /// Buses to re-mark compaction-dirty at the next activation; buffered
-    /// because segment releases can fire while the bus slab is detached.
-    pub(super) pending_wakes: Vec<VirtualBusId>,
     /// Reusable snapshot of `ready` for the injection scan.
     pub(super) scratch_ready: Vec<u32>,
 }
 
 impl RmbNetwork {
-    /// Queues a compaction re-mark for the circuit occupying the segment
-    /// directly above `(hop, bus)` — called when `(hop, bus)` becomes
-    /// available, which can enable that circuit's downward move. Buffered
-    /// in `pending_wakes` because releases also fire while the bus slab
-    /// is detached (stream-phase teardowns).
-    pub(super) fn wake_above(&mut self, hop: usize, bus: BusIndex) {
-        if !self.track_dirty {
-            return;
-        }
-        if bus.index() + 1 >= self.cfg.buses() {
-            return;
-        }
-        if let Some(owner) = self.seg(hop, bus.upper().as_usize()) {
-            self.sched.pending_wakes.push(owner);
-        }
-    }
-
     /// (Re-)arms injection tracking for node `s` after its queue front
     /// changed: due fronts join the ready set, future ones get a queue
     /// entry. A node with an unchanged front is never re-armed, so the
@@ -115,67 +87,17 @@ impl RmbNetwork {
         }
     }
 
-    /// Initialises per-slot scheduler state for a freshly injected bus
-    /// (slot indices are recycled, so every field is reset) and registers
-    /// it with the establishing list and the compaction dirty set.
-    pub(super) fn sched_init_bus(&mut self, id: VirtualBusId) {
-        let slot = self.buses.slot(id).expect("freshly inserted bus");
+    /// Initialises the scheduler's state for a freshly injected bus in
+    /// `slot` (slot indices are recycled, so its wake tick is reset) and
+    /// registers it with the establishing list.
+    pub(super) fn sched_init_bus(&mut self, id: VirtualBusId, slot: usize) {
         let sd = &mut self.sched;
         if sd.next_due.len() <= slot {
             sd.next_due.resize(slot + 1, u64::MAX);
-            sd.dirty.resize(slot + 1, false);
-            sd.clean_streak.resize(slot + 1, 0);
         }
         // Establishing buses are stream-phase no-ops until a decision or
         // fault wakes them.
         sd.next_due[slot] = u64::MAX;
-        sd.dirty[slot] = false;
-        sd.clean_streak[slot] = 0;
         sd.establishing.push(id);
-        self.mark_dirty(id);
-    }
-
-    /// Marks `id` as possibly having an eligible compaction move. No-op
-    /// unless the dirty set is tracked (event-driven + synchronous
-    /// compactor) or the id is dead. Conservative marks are harmless: a
-    /// clean assessment just drops the bus again.
-    pub(super) fn mark_dirty(&mut self, id: VirtualBusId) {
-        if !self.track_dirty {
-            return;
-        }
-        let Some(slot) = self.buses.slot(id) else {
-            return;
-        };
-        self.mark_dirty_slot(id, slot);
-    }
-
-    /// [`mark_dirty`](Self::mark_dirty) with the slot already in hand
-    /// (used while the bus slab is detached during the stream phase).
-    pub(super) fn mark_dirty_slot(&mut self, id: VirtualBusId, slot: usize) {
-        let sd = &mut self.sched;
-        sd.clean_streak[slot] = 0;
-        if !sd.dirty[slot] {
-            sd.dirty[slot] = true;
-            match sd.compact_dirty.last() {
-                Some(&last) if last >= id => {
-                    let pos = sd.compact_dirty.partition_point(|&x| x < id);
-                    sd.compact_dirty.insert(pos, id);
-                }
-                _ => sd.compact_dirty.push(id),
-            }
-        }
-    }
-
-    /// Applies the buffered segment-release wake-ups (buses whose
-    /// below-segment freed while the slab was detached) to the dirty set.
-    pub(super) fn flush_compaction_wakes(&mut self) {
-        if self.sched.pending_wakes.is_empty() {
-            return;
-        }
-        let mut wakes = std::mem::take(&mut self.sched.pending_wakes);
-        for id in wakes.drain(..) {
-            self.mark_dirty(id);
-        }
-        self.sched.pending_wakes = wakes;
     }
 }

@@ -2,6 +2,7 @@
 //! delivery, and the tail-first Fack/Nack teardown (§2.2). It is the
 //! only phase that removes buses.
 
+use super::compact::mark_mobility;
 use super::{PendingRequest, RmbNetwork};
 use crate::virtual_bus::{BusState, StreamState, VirtualBus};
 use rmb_sim::trace::TraceKind;
@@ -162,10 +163,11 @@ impl RmbNetwork {
                     },
                 };
             }
-            if start_streaming && self.track_dirty {
-                // Newly streaming hops become assessable (§2.4); with
-                // early compaction off this is the bus's first chance.
-                self.mark_dirty_slot(id, slot);
+            if completed.is_some() || (start_streaming && !self.cfg.early_compaction) {
+                // A delivered circuit stops sinking; with early compaction
+                // off, a streaming one starts (§2.4).
+                let bus = buses.at(slot);
+                mark_mobility(&mut self.occ, &self.cfg, bus, state, 0..bus.heights.len());
             }
             if remove {
                 let bus = buses.take(id).expect("active ids are live");

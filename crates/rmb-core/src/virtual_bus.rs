@@ -11,7 +11,7 @@
 //! that lane (plus the scheduler's `next_due` lane) for a streaming
 //! circuit, leaving the cold request metadata here untouched.
 
-use rmb_types::{BusIndex, MessageSpec, NodeId, RequestId, RingSize, VirtualBusId};
+use rmb_types::{BusIndex, MessageSpec, NodeId, RequestId, RingSize, RmbConfig, VirtualBusId};
 use std::fmt;
 
 /// Lifecycle state of a virtual bus.
@@ -122,7 +122,7 @@ impl StreamState {
     /// above.
     #[inline]
     #[must_use]
-    pub fn send_tick(&self, i: u32) -> u64 {
+    pub(crate) fn send_tick(&self, i: u32) -> u64 {
         self.circuit_at + 1 + u64::from(i)
     }
 
@@ -200,6 +200,20 @@ impl VirtualBus {
     /// hop's segment.
     pub fn hop_upstream_node(&self, ring: RingSize, j: usize) -> NodeId {
         ring.advance(self.spec.source, j as u32)
+    }
+
+    /// Whether hop `j` may not sink while the bus is in `state`, whatever
+    /// its neighbours: the bus is dying, or has not seen its `Hack` while
+    /// early compaction is off (§2.4), or hop `j` feeds a parked header
+    /// from below the top bus, which INCs monitor for headers (§2.2). The
+    /// compaction kernel reads this from the occupancy's immobile lane.
+    pub(crate) fn hop_immobile(&self, state: BusState, j: usize, cfg: &RmbConfig) -> bool {
+        !state.compactable()
+            || (state.pre_hack() && !cfg.early_compaction)
+            || (state == BusState::Establishing
+                && j + 1 == self.heights.len()
+                && self.heights[j] != cfg.top_bus()
+                && self.head_node(cfg.nodes()) != self.spec.destination)
     }
 }
 

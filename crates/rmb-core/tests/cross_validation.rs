@@ -126,16 +126,17 @@ fn saturated_uniform_load_agrees() {
 }
 
 /// Ring sizes beyond the small ones: one word short of, exactly at and
-/// past a 64-hop plane word, odd and even, so height planes span two and
-/// three words and odd rings flip the Fig. 8 parity pattern at the cut.
+/// past a 64-hop lane word, odd and even, so the compaction lanes span two
+/// and three words and odd rings put two even nodes side by side at the
+/// cut.
 const WIDE_RINGS: [u32; 5] = [63, 64, 65, 127, 130];
 
 #[test]
 fn wide_odd_ring_compaction_agrees() {
-    // Long circuits crossing the cut of a 127-node ring: their height
-    // planes span two words, and the Fig. 8 parity pattern flips where
-    // the arc wraps. Each later circuit overlaps the earlier ones and
-    // sinks beneath them hop by hop.
+    // Long circuits crossing the cut of a 127-node ring: their lanes span
+    // two words, and the Fig. 8 parity pattern breaks where the arc
+    // wraps. Each later circuit overlaps the earlier ones and sinks
+    // beneath them hop by hop.
     let msgs = vec![
         MessageSpec::new(NodeId::new(100), NodeId::new(90), 200),
         MessageSpec::new(NodeId::new(101), NodeId::new(80), 160).at(3),
@@ -152,9 +153,9 @@ proptest! {
 
     /// The full cross-check over random workloads: identical deliveries,
     /// identical compaction decisions. The checked reference also compares
-    /// its word-parallel compaction against the per-hop rule on every bus
-    /// it assesses, and its height planes against the heights (invariant
-    /// #7), on every tick.
+    /// its ring kernel's moves against the per-hop rule over every bus
+    /// compaction may move, and its lanes against the heights and states
+    /// (invariant #7), on every tick.
     #[test]
     fn engines_agree_on_random_workloads(
         ring in 0usize..16,
@@ -163,7 +164,7 @@ proptest! {
         raw in vec((any::<u32>(), any::<u32>(), 0u32..24, 0u64..120), 1..14),
     ) {
         // Small rings keep the contention-heavy k ≤ 4 draw (refusals,
-        // Nacks, k = 1 circular waits); wide rings add multi-word planes
+        // Nacks, k = 1 circular waits); wide rings add multi-word lanes
         // and k up to 12.
         let (n, k) = if ring < 11 {
             (3 + ring as u32, small_k)

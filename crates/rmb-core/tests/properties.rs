@@ -7,7 +7,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rmb_core::{CompactionMode, LoneMemo, RmbNetwork, RmbNetworkBuilder, RunReport};
-use rmb_types::{BusIndex, FaultPlan, MessageSpec, NodeId, RmbConfig};
+use rmb_types::{BusIndex, FaultPlan, InsertionPolicy, MessageSpec, NodeId, RmbConfig};
 
 /// A generated workload item: (source, destination offset, flits, delay).
 type RawMsg = (u32, u32, u32, u64);
@@ -273,13 +273,94 @@ proptest! {
     }
 }
 
+/// Rings at the compaction kernel's word boundaries: an odd ring shorter
+/// than a word, a quarter word, either side of one word, and a ring whose
+/// third word holds two hops. Odd rings put two even nodes side by side
+/// at the cut, which the Fig. 8 parity masks must not smooth over.
+const KERNEL_RINGS: [u32; 6] = [5, 16, 63, 64, 65, 130];
+
+/// A generated fault: (kind, at, node, bus, outage).
+type RawFault = (u8, u64, u32, u16, u64);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random multi-circuit rings in checked mode at the kernel's word
+    /// boundaries. Every tick, checked mode compares each activation's
+    /// ring-kernel moves with the per-hop rule over every bus compaction
+    /// may move, and the lanes with lanes rebuilt from the heights and
+    /// states (invariant #7). The draws add fault plans, insertion at any
+    /// free bus, early compaction off, multicast and the handshake
+    /// compactor.
+    #[test]
+    fn ring_kernel_matches_the_per_hop_rule_at_word_boundaries(
+        ring in 0usize..6,
+        k in 1u16..6,
+        raw in vec(any::<RawMsg>(), 1..12),
+        casts in vec((any::<u32>(), vec(any::<u32>(), 1..4), 0u32..16, 0u64..300), 0..3),
+        faults in vec(any::<RawFault>(), 0..4),
+        any_free in any::<bool>(),
+        early in any::<bool>(),
+        handshake in any::<bool>(),
+        periods in vec(1u64..4, 130..131),
+    ) {
+        let n = KERNEL_RINGS[ring];
+        let insertion = if any_free {
+            InsertionPolicy::AnyFreeBus
+        } else {
+            InsertionPolicy::TopBusOnly
+        };
+        let cfg = RmbConfig::builder(n, k)
+            .head_timeout(8 * n as u64)
+            .retry_backoff(n as u64)
+            .early_compaction(early)
+            .insertion(insertion)
+            .build()
+            .unwrap();
+        let mut plan = FaultPlan::new();
+        for &(kind, at, node, bus, outage) in &faults {
+            let (at, node) = (at % 600, NodeId::new(node % n));
+            let repair = (outage % 3 != 0).then_some(at + 1 + outage % 200);
+            plan = match kind % 3 {
+                0 => plan.segment_stuck(at, node, BusIndex::new(bus % k), repair),
+                1 => plan.link_cut(at, node, repair),
+                _ => plan.inc_dead(at, node, repair),
+            };
+        }
+        let mode = if handshake {
+            CompactionMode::Handshake { periods: periods[..n as usize].to_vec() }
+        } else {
+            CompactionMode::Synchronous
+        };
+        let mut net = RmbNetwork::builder(cfg)
+            .checked(true)
+            .compaction_mode(mode)
+            .fault_plan(plan)
+            .max_retries(8)
+            .build();
+        net.submit_all(build_msgs(n, &raw)).unwrap();
+        for (src, offsets, flits, at) in &casts {
+            let src = src % n;
+            let mut dsts: Vec<NodeId> = offsets
+                .iter()
+                .map(|off| NodeId::new((src + 1 + off % (n - 1)) % n))
+                .collect();
+            dsts.sort();
+            dsts.dedup();
+            net.submit_multicast(NodeId::new(src), &dsts, *flits, *at).unwrap();
+        }
+        net.run_to_quiescence(200_000);
+        prop_assert_eq!(net.check_invariants(), Ok(()));
+    }
+}
+
 /// One step of a lone-circuit script: what to submit at a window
 /// boundary `(kind, circuit)`, then the window length. Even kinds submit
 /// one circuit, two contending ones, or a multicast, at the boundary or
 /// one tick later.
 type Step = (u8, u8, u64);
 
-/// Ring sizes: 3–19, plus both sides of the 64-hop plane word boundary
+/// Ring sizes: 3–19, plus both sides of the 64-hop lane word boundary
 /// and a two-word ring.
 fn script_ring(pick: u32) -> u32 {
     match pick {

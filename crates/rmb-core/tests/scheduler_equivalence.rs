@@ -3,7 +3,9 @@
 //! same protocol trace, same [`RunReport`], floats included — over random
 //! workloads, random fault schedules, and every protocol option. The
 //! dense sweep is the oracle; any divergence is a scheduler bug by
-//! definition.
+//! definition. The dense sweep also decides compaction with the per-hop
+//! rule rather than the event engine's ring kernel, so the suite compares
+//! the two rules, and the kernel's lanes with the heights they mirror.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -163,7 +165,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random unicast workloads with random fault schedules, synchronous
-    /// compaction (the configuration the dirty-set path accelerates).
+    /// compaction (the configuration the settled-ring skip accelerates).
     #[test]
     fn engines_agree_under_random_faults(
         n in 4u32..12,
@@ -185,7 +187,8 @@ proptest! {
     }
 
     /// Same, under the handshake compactor (per-INC activation periods):
-    /// the event engine keeps the dense per-INC scan there, but stream,
+    /// each INC's activation runs the ring kernel at its one hop in the
+    /// event engine and the per-hop rule in the dense sweep, and stream,
     /// establishment and injection still run through the active set.
     #[test]
     fn engines_agree_under_handshake_compaction(
@@ -237,8 +240,10 @@ fn engines_agree_on_multicast() {
     .unwrap();
 }
 
+/// Early compaction with a 64-tick head timeout on a 10-node, k=4 ring,
+/// under a segment fault and a dead INC, both repaired.
 #[test]
-fn engines_agree_with_windowed_acks_and_early_compaction() {
+fn engines_agree_with_early_compaction_head_timeout_and_two_faults() {
     let cfg = RmbConfig::builder(10, 4)
         .early_compaction(true)
         .head_timeout(64)
@@ -419,7 +424,7 @@ fn engines_agree_on_simultaneous_all_to_opposite() {
 
 #[test]
 fn engines_agree_without_compaction_and_without_fast_forward() {
-    // `compaction(false)` disables the dirty set entirely; fast-forward
+    // `compaction(false)` skips the compaction phase entirely; fast-forward
     // off forces every idle tick through the full phase sequence.
     let cfg = RmbConfig::builder(8, 2).compaction(false).build().unwrap();
     let drive: &dyn Fn(&mut RmbNetwork) = &|net| {

@@ -57,9 +57,6 @@ check_rustdoc() {
 }
 step "rustdoc (warnings as errors, rmb-core with and without its oracle feature)" check_rustdoc
 
-step "clippy (perf lints as errors)" \
-  cargo clippy --workspace --all-targets -- -D clippy::perf
-
 step "clippy (all warnings as errors on every crate)" \
   cargo clippy --workspace --all-targets -- -D warnings
 
