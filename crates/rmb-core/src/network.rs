@@ -27,9 +27,11 @@
 //! order is identical to the `BTreeMap` this replaced while lookups,
 //! insertions and removals are O(1) with no per-tick allocation. Lifecycle
 //! state is a struct-of-arrays lane on the slab ([`BusState`] is `Copy`):
-//! the stream/teardown kernel reads a circuit's state out of the lane,
-//! advances it in registers and writes it back, touching the cold
-//! [`VirtualBus`] struct only on transitions. Segment occupancy is one
+//! the stream/teardown kernel reads a circuit's state out of the lane and
+//! writes it back only when it changes (a stream's sends and landings
+//! follow from when its circuit came up, so its state changes only at
+//! the delivery), touching the cold [`VirtualBus`] struct only on
+//! transitions. Segment occupancy is one
 //! flat array (`hop * k + bus`), mirrored into packed ring-wide lanes per
 //! bus level (`occupancy::Occupancy`) kept in lockstep at every
 //! transition, so [`segment_owner`](RmbNetwork::segment_owner) is an array
@@ -40,20 +42,22 @@
 //!
 //! # Scheduling
 //!
-//! The *event-driven* engine keeps a per-bus `next_due` tick and a ready
-//! set plus an event queue for injection queues, and skips compaction
-//! once the ring has settled, so a tick costs O(circuits with due work)
-//! rather than O(N·k). Test builds (the `oracle` feature) keep the
-//! classic *dense sweep*, which touches every live bus and every INC each
-//! tick and decides compaction hop by hop, as its cross-check oracle: the
-//! two are byte-identical by construction and by test (see
+//! The *event-driven* engine keeps a list of the establishing buses and a
+//! ready set plus an event queue for injection queues, and skips
+//! compaction once the ring has settled, so a tick costs O(live circuits)
+//! rather than O(N·k). The stream and teardown phase visits every live bus
+//! and keeps no wake state, so no event has to wake a bus. Test builds
+//! (the `oracle` feature) keep the classic *dense sweep*, which touches
+//! every live bus and every INC each tick and decides compaction hop by
+//! hop, as its cross-check oracle: the two share the stream phase and are
+//! byte-identical by construction and by test (see
 //! `tests/scheduler_equivalence.rs`). Without the feature the dense arms
 //! compile out.
 
 use crate::cycle::CycleRing;
 use crate::invariants::{check_network, CheckState, InvariantViolation};
 use crate::occupancy::Occupancy;
-use crate::options::{RmbNetworkBuilder, SimOptions};
+use crate::options::{LogRetention, RmbNetworkBuilder, SimOptions};
 use crate::virtual_bus::{BusState, VirtualBus};
 use rmb_sim::trace::{TraceEvent, TraceKind, VecSink};
 use rmb_sim::{QuantileSketch, SimRng, Tick};
@@ -179,7 +183,8 @@ pub struct RmbNetwork {
     delivered_base: u64,
     /// Abort-side counterpart of `delivered_base`.
     aborted_base: u64,
-    /// Online latency percentiles, when `opts.latency_sketch` is on.
+    /// Online latency percentiles, kept under counters-only retention:
+    /// the one retention whose records cannot give them.
     latency_sketch: Option<QuantileSketch>,
     refusals: u64,
     compaction_moves: u64,
@@ -268,7 +273,8 @@ impl RmbNetwork {
         };
         let fault_seed = opts.fault_seed;
         let recording = opts.recording;
-        let sketch = opts.latency_sketch.then(QuantileSketch::latency_defaults);
+        let sketch = (opts.log_retention == LogRetention::CountersOnly)
+            .then(QuantileSketch::latency_defaults);
         RmbNetwork {
             cfg,
             now: Tick::ZERO,

@@ -116,7 +116,6 @@ impl RmbNetwork {
                 self.buses
                     .set_state(id, BusState::AwaitingHack { hops_left: span });
                 self.nodes[dst.as_usize()].receives_active += 1;
-                self.wake_bus(id);
                 // No hop changes mobility: the head has reached the
                 // destination, so no hop feeds a parked head, and the
                 // circuit is as assessable awaiting the Hack as before.
@@ -135,7 +134,6 @@ impl RmbNetwork {
         self.buses.set_state(id, BusState::Nacked { freed: 0 });
         self.refresh_mobility(id);
         self.refusals += 1;
-        self.wake_bus(id);
     }
 
     pub(super) fn extend_heads(&mut self) {

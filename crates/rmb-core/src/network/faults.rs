@@ -154,9 +154,6 @@ impl RmbNetwork {
         self.first_kill.entry(request).or_insert(now);
         self.last_progress = now;
         self.trace(TraceKind::FaultKill, id, source, None, why);
-        // The Nacked teardown starts freeing hops in the next stream
-        // phase; make sure the event engine looks at the bus then.
-        self.wake_bus(id);
     }
 
     /// Bounded exponential backoff with jitter for fault-hit retries:

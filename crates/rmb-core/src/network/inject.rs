@@ -161,7 +161,7 @@ impl RmbNetwork {
             let bus = self.buses.at(slot);
             mark_mobility(&mut self.occ, &self.cfg, bus, BusState::Establishing, 0..1);
             if self.event_driven() {
-                self.sched_init_bus(id, slot);
+                self.sched.establishing.push(id);
             }
             self.last_progress = now;
             InjectOutcome::Injected

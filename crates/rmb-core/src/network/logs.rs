@@ -51,8 +51,8 @@ pub struct RunReport {
     /// Worst time-to-recover over recovered requests.
     max_recovery: u64,
     /// `(p50, p99, p999, max)` latency estimates from the online sketch,
-    /// present only when the run was built with
-    /// [`latency_sketch(true)`](crate::RmbNetworkBuilder::latency_sketch).
+    /// present only under
+    /// [`LogRetention::CountersOnly`](crate::LogRetention::CountersOnly).
     latency_quantiles: Option<(u64, u64, u64, u64)>,
 }
 
@@ -243,11 +243,9 @@ impl RmbNetwork {
     }
 
     /// Online latency percentile from the delivery-time CKMS sketch, or
-    /// `None` when the sketch is disabled (see
-    /// [`RmbNetworkBuilder::latency_sketch`]) or nothing was delivered.
-    /// The sketch observes every delivery regardless of log retention.
-    ///
-    /// [`RmbNetworkBuilder::latency_sketch`]: crate::RmbNetworkBuilder::latency_sketch
+    /// `None` when nothing was delivered or the ring keeps records to read
+    /// percentiles off: the sketch runs only under
+    /// [`LogRetention::CountersOnly`].
     pub fn latency_quantile(&self, phi: f64) -> Option<u64> {
         self.latency_sketch.as_ref().and_then(|s| s.quantile(phi))
     }

@@ -501,11 +501,8 @@ impl RmbNetwork {
             .set_state_at(slot, BusState::TearingDown { freed: 0 });
         // A bus tearing down never sinks.
         self.link_hops(slot);
-        if self.event_driven() {
-            // A bus tearing down acts every tick.
-            self.sched.next_due[slot] = delivered_at + 1;
-            self.sched.establishing.clear();
-        }
+        // It was the one establishing bus.
+        self.sched.establishing.clear();
         self.now = Tick::new(delivered_at);
         let buses = std::mem::take(&mut self.buses);
         self.deliver(

@@ -1,6 +1,6 @@
-//! Bookkeeping of the event-driven scheduler: per-slot wake ticks, the
-//! establishing list, and the ready set plus event queue of the
-//! injection queues. DESIGN.md §8a states the wake discipline.
+//! Bookkeeping of the event-driven scheduler: the establishing list, and
+//! the ready set plus event queue of the injection queues. DESIGN.md §8a
+//! describes the scheduler.
 
 use super::RmbNetwork;
 use rmb_sim::{EventQueue, Tick};
@@ -8,15 +8,11 @@ use rmb_types::VirtualBusId;
 
 /// State of the event-driven scheduler.
 ///
-/// Per-bus entries are indexed by the bus's *slot* in the [`BusSlab`]
-/// (reset on slot reuse by [`RmbNetwork::sched_init_bus`]); per-node
-/// injection state lives in a ready set plus an event queue. The dense
-/// sweep ignores all of this. See DESIGN.md for the wake discipline.
+/// Per-node injection state lives in a ready set plus an event queue. The
+/// stream phase needs no entry: it visits every live bus. The dense sweep
+/// ignores all of this.
 #[derive(Debug, Default)]
 pub(super) struct SchedState {
-    /// Per-slot earliest tick at which the bus next has stream/teardown
-    /// work (`u64::MAX` for parked `Establishing` buses).
-    pub(super) next_due: Vec<u64>,
     /// Live `Establishing` buses in ascending id order, compacted lazily
     /// as buses leave the state (drives the decide/extend phases).
     pub(super) establishing: Vec<VirtualBusId>,
@@ -73,31 +69,5 @@ impl RmbNetwork {
         let pos = self.sched.ready.partition_point(|&x| x < v);
         debug_assert_eq!(self.sched.ready.get(pos), Some(&v));
         self.sched.ready.remove(pos);
-    }
-
-    /// Ensures the event engine processes bus `id` in the next stream
-    /// phase (no-op for the dense sweep or an unknown id).
-    pub(super) fn wake_bus(&mut self, id: VirtualBusId) {
-        if !self.event_driven() {
-            return;
-        }
-        if let Some(slot) = self.buses.slot(id) {
-            let due = &mut self.sched.next_due[slot];
-            *due = (*due).min(self.now.get());
-        }
-    }
-
-    /// Initialises the scheduler's state for a freshly injected bus in
-    /// `slot` (slot indices are recycled, so its wake tick is reset) and
-    /// registers it with the establishing list.
-    pub(super) fn sched_init_bus(&mut self, id: VirtualBusId, slot: usize) {
-        let sd = &mut self.sched;
-        if sd.next_due.len() <= slot {
-            sd.next_due.resize(slot + 1, u64::MAX);
-        }
-        // Establishing buses are stream-phase no-ops until a decision or
-        // fault wakes them.
-        sd.next_due[slot] = u64::MAX;
-        sd.establishing.push(id);
     }
 }

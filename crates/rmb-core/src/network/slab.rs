@@ -116,13 +116,6 @@ impl BusSlab {
         self.states[slot]
     }
 
-    /// Mutable access to the state in slot `slot`, for in-place counter
-    /// updates on the tick kernel's fast path.
-    #[inline]
-    pub(super) fn state_at_mut(&mut self, slot: usize) -> &mut BusState {
-        &mut self.states[slot]
-    }
-
     /// Writes the lifecycle state of slot `slot`.
     #[inline]
     pub(super) fn set_state_at(&mut self, slot: usize, state: BusState) {

@@ -74,7 +74,10 @@ pub enum LogRetention {
     Window(usize),
     /// Keep no records at all; only the aggregate counters advance.
     /// `delivered_log()` / `aborted_log()` stay empty and any
-    /// `*_since` cursor below the current total panics.
+    /// `*_since` cursor below the current total panics. With no records
+    /// to read percentiles off, the ring keeps an online CKMS latency
+    /// sketch instead, readable through
+    /// [`RmbNetwork::latency_quantile`](crate::RmbNetwork::latency_quantile).
     CountersOnly,
 }
 
@@ -118,13 +121,6 @@ pub struct SimOptions {
     /// How long the delivered/aborted logs are retained. Full by
     /// default; windowed or counters-only for bounded-memory serving.
     pub log_retention: LogRetention,
-    /// Maintain an online CKMS latency sketch (p50/p99/p999) at delivery
-    /// time, readable through [`RmbNetwork::latency_quantile`]. Off by
-    /// default; the open-loop soak harness turns it on so percentiles
-    /// survive counters-only retention.
-    ///
-    /// [`RmbNetwork::latency_quantile`]: crate::RmbNetwork::latency_quantile
-    pub latency_sketch: bool,
 }
 
 impl Default for SimOptions {
@@ -141,7 +137,6 @@ impl Default for SimOptions {
             #[cfg(feature = "oracle")]
             scheduler: SchedulerMode::EventDriven,
             log_retention: LogRetention::Full,
-            latency_sketch: false,
         }
     }
 }
@@ -235,15 +230,6 @@ impl RmbNetworkBuilder {
         self
     }
 
-    /// Maintains an online p50/p99/p999 latency sketch at delivery time
-    /// (readable via [`RmbNetwork::latency_quantile`]), independent of
-    /// log retention.
-    #[must_use]
-    pub fn latency_sketch(mut self, on: bool) -> Self {
-        self.opts.latency_sketch = on;
-        self
-    }
-
     /// Constructs the network.
     ///
     /// # Panics
@@ -273,7 +259,6 @@ mod tests {
         assert_eq!(opts.max_retries, None);
         assert_eq!(opts.scheduler, SchedulerMode::EventDriven);
         assert_eq!(opts.log_retention, LogRetention::Full);
-        assert!(!opts.latency_sketch);
     }
 
     #[test]
@@ -289,12 +274,10 @@ mod tests {
             .max_retries(3)
             .scheduler(SchedulerMode::DenseSweep)
             .log_retention(LogRetention::Window(64))
-            .latency_sketch(true)
             .build();
         let o = net.options();
         assert_eq!(o.scheduler, SchedulerMode::DenseSweep);
         assert_eq!(o.log_retention, LogRetention::Window(64));
-        assert!(o.latency_sketch);
         assert!(!o.fast_forward);
         assert!(o.checked);
         assert!(o.recording);

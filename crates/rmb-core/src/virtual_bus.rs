@@ -7,9 +7,9 @@
 //! breaking the circuit.
 //!
 //! Lifecycle state lives in a struct-of-arrays lane owned by the network's
-//! bus slab, not on [`VirtualBus`] itself: the per-tick kernel touches only
-//! that lane (plus the scheduler's `next_due` lane) for a streaming
-//! circuit, leaving the cold request metadata here untouched.
+//! bus slab, not on [`VirtualBus`] itself: the per-tick kernel only reads
+//! that lane for a streaming circuit, leaving the cold request metadata
+//! here untouched.
 
 use rmb_types::{BusIndex, MessageSpec, NodeId, RequestId, RingSize, RmbConfig, VirtualBusId};
 use std::fmt;
@@ -17,8 +17,8 @@ use std::fmt;
 /// Lifecycle state of a virtual bus.
 ///
 /// `Copy` by design: the tick kernel reads a bus's state out of the slab's
-/// state lane into a register-resident local, advances it, and writes it
-/// back — no per-circuit heap traffic.
+/// state lane into a register-resident local and writes it back only when
+/// it changes — no per-circuit heap traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BusState {
     /// The header flit is drawing the bus toward the destination; the head
@@ -75,17 +75,18 @@ impl fmt::Display for BusState {
     }
 }
 
-/// Book-keeping for the data-flit stream of an established circuit.
+/// The data-flit stream of an established circuit.
 ///
-/// Flits advance one segment per tick and the source sends one data flit
-/// per tick, so with the circuit up at tick `c` data flit `i` (0-based)
-/// goes out at `c + 1 + i` and lands `L` ticks later over a circuit of `L`
-/// hops. A circuit buffers no flits and the destination PE takes one per
-/// tick, so no `Dack` window could do more than slow the source: `Dack`s
-/// are not modelled. That closed form reduces the stream to two counters
-/// (`next_seq`, `delivered`) — the whole state is `Copy` and fits in a
-/// cache line, which is what makes the per-active-circuit tick budget
-/// reachable.
+/// Flits advance one segment per tick and the source sends one flit per
+/// tick, so with the circuit up at tick `c` over `L` hops, data flit `i`
+/// (0-based) of `m` goes out at `c + 1 + i` and lands at `c + 1 + i + L`,
+/// the final flit goes out at `c + m + 1`, and its landing at
+/// `c + m + 1 + L` delivers the message. A circuit buffers no flits and the
+/// destination PE takes one per tick, so no `Dack` window could do more
+/// than slow the source: `Dack`s are not modelled. Those three numbers
+/// therefore fix the whole stream, and the stream phase reads every send
+/// and landing off them: the state is written once, when the circuit
+/// comes up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamState {
     /// Tick at which the `Hack` reached the source (circuit established).
@@ -95,16 +96,10 @@ pub struct StreamState {
     pub span: u32,
     /// Total data flits of the message, snapshotted from the spec.
     pub data_flits: u32,
-    /// Next data-flit sequence number to send (= flits sent so far).
-    pub next_seq: u32,
-    /// Data flits delivered so far; flit `delivered` is the next to land.
-    pub delivered: u32,
-    /// Tick the final flit was sent, once all data flits are out.
-    pub ff_sent_at: Option<u64>,
 }
 
 impl StreamState {
-    /// Fresh stream for a circuit established at `circuit_at` over `span`
+    /// The stream of a circuit established at `circuit_at` over `span`
     /// hops, carrying `data_flits` flits.
     #[must_use]
     pub const fn new(circuit_at: u64, span: u32, data_flits: u32) -> Self {
@@ -112,31 +107,7 @@ impl StreamState {
             circuit_at,
             span,
             data_flits,
-            next_seq: 0,
-            delivered: 0,
-            ff_sent_at: None,
         }
-    }
-
-    /// The tick data flit `i` (0-based) is sent, per the closed form
-    /// above.
-    #[inline]
-    #[must_use]
-    pub(crate) fn send_tick(&self, i: u32) -> u64 {
-        self.circuit_at + 1 + u64::from(i)
-    }
-
-    /// Counts every data flit sent so far that has landed by `now`, in
-    /// closed form (compiled to cmovs), and reports whether any landed
-    /// since the last call. `now` never decreases, so neither does the
-    /// count.
-    #[inline]
-    pub(crate) fn catch_up(&mut self, now: u64) -> bool {
-        let landed = now.saturating_sub(self.circuit_at + u64::from(self.span));
-        let delivered = u64::from(self.next_seq).min(landed) as u32;
-        let progressed = delivered != self.delivered;
-        self.delivered = delivered;
-        progressed
     }
 }
 

@@ -119,7 +119,6 @@ fn polling_within_the_window_sees_every_delivery() {
 fn latency_sketch_tracks_percentiles_under_counters_only() {
     let mut net = RmbNetwork::builder(cfg(16, 2))
         .log_retention(LogRetention::CountersOnly)
-        .latency_sketch(true)
         .build();
     net.submit_all(workload(16, 200, 44)).unwrap();
     let report = net.run_to_quiescence(1_000_000);

@@ -17,12 +17,7 @@ fn flat(n: u32, k: u16, retention: LogRetention) -> FlatTarget {
         .retry_backoff(u64::from(n))
         .build()
         .unwrap();
-    FlatTarget::new(
-        RmbNetwork::builder(cfg)
-            .log_retention(retention)
-            .latency_sketch(matches!(retention, LogRetention::CountersOnly))
-            .build(),
-    )
+    FlatTarget::new(RmbNetwork::builder(cfg).log_retention(retention).build())
 }
 
 fn run_flat(rate: f64) -> ServeReport {

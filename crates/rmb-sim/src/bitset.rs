@@ -1,71 +1,25 @@
-//! Wrap-aware queries over circular bitmaps packed into `u64` words.
+//! Ring shifts of circular bitmaps packed into `u64` words.
 //!
 //! A ring of `len` positions (e.g. one bit per hop of the RMB bus array)
 //! packs 64 positions per word, position `i` at bit `i % 64` of word
-//! `i / 64`. The 64 positions of a clockwise arc then come back as one
-//! word, so a query over an arc is a handful of word operations instead
-//! of a per-position walk. Arcs may cross the ring's wrap point (position
-//! `len - 1` back to 0), which [`arc_word`] stitches together; lanes of
-//! the whole ring line each position up with its neighbour one step
-//! either way through [`ring_prev_word`] and [`ring_next_word`].
+//! `i / 64`, so a query over the ring is a handful of word operations
+//! instead of a per-position walk. [`ring_prev_word`] and
+//! [`ring_next_word`] line each position of a whole-ring lane up with its
+//! neighbour one step either way, across the ring's wrap point (position
+//! `len - 1` back to 0).
 //!
 //! # Examples
 //!
 //! ```
-//! use rmb_sim::{arc_word, ring_next_word, ring_prev_word};
+//! use rmb_sim::{ring_next_word, ring_prev_word};
 //!
 //! // A 100-position ring with only position 99 set.
 //! let words = [0, 1u64 << 35];
-//! // The 64 positions from 95 on: bit 4 is position 99.
-//! assert_eq!(arc_word(&words, 100, 95), 1 << 4);
-//! // The 64 positions from 0 on stop short of it.
-//! assert_eq!(arc_word(&words, 100, 0), 0);
 //! // Position 0's predecessor is position 99, across the wrap.
 //! assert_eq!(ring_prev_word(words[0], words[1], 100, 0), 1);
 //! // Position 98's successor is position 99.
 //! assert_eq!(ring_next_word(words[1], words[0], 100, 1), 1 << 34);
 //! ```
-
-/// The 64 ring positions starting at `start`, as one word: bit `i` of the
-/// result is bit `(start + i) mod len` of a ring of `len` positions packed
-/// 64 per word into `words`. A ring shorter than 64 positions repeats with
-/// period `len`, so every bit of the result is defined.
-///
-/// Kernels that combine several lanes of the same ring 64 positions per
-/// step read each lane through `arc_word` at the same `start`, which
-/// lines them up bit for bit wherever the arc crosses the ring's wrap
-/// point.
-///
-/// # Panics
-///
-/// Panics if `start >= len`, or if `words` is shorter than
-/// `len.div_ceil(64)`.
-#[inline]
-#[must_use]
-pub fn arc_word(words: &[u64], len: usize, start: usize) -> u64 {
-    assert!(start < len, "start {start} out of range 0..{len}");
-    if len >= 64 {
-        // At most one wrap: the positions before the cut, then the
-        // ring's first `64 - tail` positions.
-        let tail = len - start;
-        let head = window(words, start);
-        if tail >= 64 {
-            head
-        } else {
-            (head & ((1u64 << tail) - 1)) | (words[0] << tail)
-        }
-    } else {
-        // Rotate the short ring to `start`, then repeat it up the word.
-        let lane = words[0] & ((1u64 << len) - 1);
-        let mut word = ((lane >> start) | (lane << (len - start))) & ((1u64 << len) - 1);
-        let mut period = len;
-        while period < 64 {
-            word |= word << period;
-            period *= 2;
-        }
-        word
-    }
-}
 
 /// Word `w` of a ring lane read one position back: bit `i` of the result
 /// is position `(64w + i - 1) mod len` of a ring of `len` positions packed
@@ -114,24 +68,9 @@ fn live_bits(len: usize, w: usize) -> u64 {
     }
 }
 
-/// The 64 bits starting at bit `pos` of `words`, with bits past the end
-/// of the slice read as zero.
-#[inline]
-fn window(words: &[u64], pos: usize) -> u64 {
-    let (w, b) = (pos / 64, pos % 64);
-    let low = words[w] >> b;
-    if b == 0 {
-        low
-    } else {
-        low | words.get(w + 1).map_or(0, |&next| next << (64 - b))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::collection::vec;
-    use proptest::prelude::*;
 
     /// Packs `len` positions 64 per word, setting the positions in `set`.
     fn pack(len: usize, set: &[usize]) -> Vec<u64> {
@@ -140,68 +79,6 @@ mod tests {
             words[i / 64] |= 1u64 << (i % 64);
         }
         words
-    }
-
-    /// Naive reference: the 64 positions from `start` walked one by one.
-    fn naive_word(bits: &[bool], start: usize) -> u64 {
-        let n = bits.len();
-        (0..64).fold(0, |w, i| w | u64::from(bits[(start + i) % n]) << i)
-    }
-
-    #[test]
-    fn arcs_cross_word_boundaries() {
-        let words = pack(200, &[63, 64, 128]);
-        assert_eq!(arc_word(&words, 200, 60), 0b11 << 3);
-        assert_eq!(arc_word(&words, 200, 64), 1);
-        assert_eq!(arc_word(&words, 200, 65), 1 << 63, "65..=128 reaches 128");
-        assert_eq!(arc_word(&words, 200, 129), 0);
-    }
-
-    #[test]
-    fn wrapping_arcs_cover_the_cut() {
-        let words = pack(100, &[2]);
-        assert_eq!(
-            arc_word(&words, 100, 95),
-            1 << 7,
-            "95..=58 wraps over the cut to 2"
-        );
-        assert_eq!(arc_word(&words, 100, 3), 0);
-    }
-
-    /// `arc_word` against the position-by-position definition, at ring
-    /// lengths either side of one and two words, with `start` at 0, next
-    /// to the cut and mid-word, over lanes with every bit pattern class
-    /// (sparse, dense, alternating).
-    #[test]
-    fn arc_word_matches_the_wrapped_positions() {
-        for len in [5usize, 63, 64, 65, 130] {
-            let mut starts = vec![0, len - 1, len / 2, len.saturating_sub(2), len.min(37) - 1];
-            if len > 64 {
-                starts.extend([63, 64, len - 63, len - 64]);
-            }
-            for pattern in 0..4u64 {
-                let bits: Vec<bool> = (0..len)
-                    .map(|i| match pattern {
-                        0 => i % 7 == 3,
-                        1 => i % 3 != 0,
-                        2 => i % 2 == 1,
-                        _ => i == len - 1,
-                    })
-                    .collect();
-                let set: Vec<usize> = (0..len).filter(|&i| bits[i]).collect();
-                let words = pack(len, &set);
-                for &start in &starts {
-                    let word = arc_word(&words, len, start);
-                    for i in 0..64 {
-                        assert_eq!(
-                            word >> i & 1 == 1,
-                            bits[(start + i) % len],
-                            "len {len}, start {start}, pattern {pattern}, bit {i}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     /// Random-looking lanes of `len` positions with bits past the end
@@ -269,26 +146,6 @@ mod tests {
                     .collect();
                 assert_eq!(back, words, "len {len}");
             }
-        }
-    }
-
-    proptest! {
-        /// Every arc word agrees with the walked reference, including
-        /// wrap-around arcs and rings shorter than a word.
-        #[test]
-        fn arc_queries_match_naive_walk(
-            n in 1usize..200,
-            setbits in vec(any::<u16>(), 0..64),
-            start in any::<u16>(),
-        ) {
-            let mut bits = vec![false; n];
-            let set: Vec<usize> = setbits.iter().map(|&s| s as usize % n).collect();
-            for &i in &set {
-                bits[i] = true;
-            }
-            let words = pack(n, &set);
-            let start = start as usize % n;
-            prop_assert_eq!(arc_word(&words, n, start), naive_word(&bits, start));
         }
     }
 }

@@ -8,8 +8,6 @@
 //! * [`EventQueue`] — a stable discrete-event queue (FIFO among events
 //!   due at the same tick) over a binary heap, with an exact O(1) peek,
 //!   used by the event-driven protocol scheduler and the serving driver.
-//! * [`arc_word`] — the 64 positions of a circular `u64`-packed bitmap
-//!   from any start, wrap-aware.
 //! * [`ring_prev_word`] and [`ring_next_word`] — a word of a whole-ring
 //!   lane read one position back or on, across the wrap: how the
 //!   bit-parallel compaction kernel lines each hop up with its
@@ -49,7 +47,7 @@ mod sketch;
 pub mod stats;
 pub mod trace;
 
-pub use bitset::{arc_word, ring_next_word, ring_prev_word};
+pub use bitset::{ring_next_word, ring_prev_word};
 pub use clock::Tick;
 pub use queue::EventQueue;
 pub use rng::SimRng;

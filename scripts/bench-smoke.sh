@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Quick performance smoke: the formatting, rustdoc and lint gates, the
-# scheduler-equivalence smoke, the downstream suites against the
+# oracle suites, the downstream suites against the
 # feature-off rmb-core, release build, the two hot-path bench suites with
 # a short sampling window and a regression gate against the baseline in
 # BENCH_PR2.json. Intended as the pre-merge check for changes touching
@@ -81,8 +81,10 @@ shipping_suites() {
 }
 step "downstream suites against the rmb-core that ships (oracle feature off)" shipping_suites
 
-step "scheduler equivalence (event engine vs dense-sweep oracle, oracle feature on)" \
-  cargo test -q -p rmb-core --test scheduler_equivalence
+# The dense sweep shares the event engine's stream phase, so only the
+# flit-level engine checks stream timing independently: run both oracles.
+step "oracle suites (event engine vs the dense-sweep and flit-level oracles, oracle feature on)" \
+  cargo test -q -p rmb-core --test scheduler_equivalence --test cross_validation
 
 composition_equivalence() {
   cargo test -q -p rmb-core --test properties lone_circuit

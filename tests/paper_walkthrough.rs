@@ -71,21 +71,31 @@ fn s22_no_data_before_hack() {
     net.submit(MessageSpec::new(NodeId::new(0), NodeId::new(9), 8))
         .unwrap();
     let span = 9u64;
-    // Until the Hack returns (2 * span ticks), no data flit may move.
+    // Until the Hack returns (2 * span ticks), no data flit may move: data
+    // flit 0 goes out the tick after the circuit comes up.
     for _ in 0..2 * span {
         net.tick();
         if let Some(bus) = net.virtual_buses().next() {
-            if let Some(BusState::Streaming(StreamState { next_seq, .. })) = net.bus_state(bus.id) {
-                panic!("data flit {next_seq} sent before Hack returned")
+            if let Some(BusState::Streaming(StreamState { circuit_at, .. })) = net.bus_state(bus.id)
+            {
+                panic!(
+                    "data flit 0 due at tick {} before Hack returned",
+                    circuit_at + 1
+                )
             }
         }
     }
     net.tick();
     let bus = net.virtual_buses().next().expect("circuit live");
     let state = net.bus_state(bus.id).expect("circuit live");
-    assert!(
-        matches!(state, BusState::Streaming(_)),
-        "streaming starts exactly after the Hack: {state}"
+    let BusState::Streaming(StreamState { circuit_at, .. }) = state else {
+        panic!("streaming starts exactly after the Hack: {state}")
+    };
+    assert_eq!(circuit_at, 2 * span, "the Hack reached the source");
+    assert_eq!(
+        circuit_at + 1,
+        net.now().get(),
+        "data flit 0 goes out on the next tick"
     );
 }
 
